@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .coeffs import ONE, from_int, qpow
 from .errors import (
     BadIndex,
+    HeightOverflow,
     InternalContradiction,
     InvalidCartan,
     InvalidPair,
@@ -111,11 +112,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
         label = type_str
     else:
         raise UsageError("one of --type or --cartan-file is required")
+    height = getattr(args, "height", None)
+    if height is not None and height < 1:
+        raise UsageError(f"--height must be at least 1, got {height}")
     return RunConfig(
         rs=rs,
         label=label,
         word_sel=getattr(args, "word", None) or "w0",
-        height=getattr(args, "height", None),
+        height=height,
         fmt=getattr(args, "format", "tsv"),
         suite=getattr(args, "suite", None) or "all",
     )
@@ -819,7 +823,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotReduced as exc:
         print(f"error: word not reduced ({exc})", file=sys.stderr)
         return 2
-    except (InvalidCartan, BadIndex, InvalidPair) as exc:
+    except (InvalidCartan, BadIndex, InvalidPair, HeightOverflow) as exc:
+        # default height bounds never overflow: HeightOverflow means --height was too small
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QBorelError as exc:

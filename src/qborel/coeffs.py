@@ -167,9 +167,6 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return _pprim(a)[0]
     a = _pprim(a)[0]
     b = _pprim(b)[0]
-    # monomial fast path: only the common q-power divides
-    if len(a) - a.index(next(x for x in a if x)) == 1 or a == (1,):
-        pass
     while b:
         if len(a) < len(b):
             a, b = b, a
@@ -355,14 +352,6 @@ class QRat:
         num = tuple(self.c * x * lc for x in self.num)
         den = tuple(Fraction(x, lc) for x in self.den)
         return num, den
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        """Spot-check evaluation at a rational point (den must not vanish)."""
-        num = sum((self.c * co) * value**i for i, co in enumerate(self.num))
-        den = sum(Fraction(co) * value**i for i, co in enumerate(self.den))
-        if den == 0:
-            raise DivisionByZero("denominator vanishes at evaluation point")
-        return num / den
 
     # -- rendering ---------------------------------------------------------
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from ..coeffs import QRat, ZERO, ONE, from_int, q_binomial
 from ..errors import BadIndex, HeightOverflow, InvalidPair
 from ..rootsys import RootSystem, Vec
-from .linalg import SpanSolver, add_scaled
+from .linalg import SpanSolver, add_scaled, add_term
 
 Word = tuple[int, ...]
 
@@ -69,14 +69,7 @@ class FreeElt:
         out: dict[Word, QRat] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                cur = out.get(w)
-                nxt = c if cur is None else cur + c
-                if nxt == ZERO:
-                    out.pop(w, None)
-                else:
-                    out[w] = nxt
+                add_term(out, w1 + w2, c1 * c2)
         return FreeElt(out)
 
     def __pow__(self, k: int) -> "FreeElt":
@@ -131,7 +124,7 @@ def serre_relation(rs: RootSystem, i: int, j: int) -> FreeElt:
         if s % 2:
             coef = -coef
         word = (i,) * (m - s) + (j,) + (i,) * s
-        out[word] = out.get(word, ZERO) + coef
+        add_term(out, word, coef)
     return FreeElt(out)
 
 

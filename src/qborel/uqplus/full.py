@@ -19,7 +19,7 @@ from ..errors import BadIndex, NotReduced
 from ..rootsys import RootSystem, Vec, bilinear, reflect, vec_add, vec_neg
 from ..weyl import ReducedWord
 from .free import FreeElt, NFContext, Word, word_weight
-from .linalg import add_scaled
+from .linalg import add_scaled, add_term
 
 # term key: (F-word, K-exponent, E-word)
 Key = tuple[Word, Vec, Word]
@@ -109,6 +109,8 @@ class UAlgebra:
         self._zero_vec = (0,) * rs.rank
         self._ef: dict[tuple[Word, int], dict[Key, QRat]] = {}
         self._tgen: dict[tuple[int, str, int, bool], UElt] = {}
+        self._pbw: dict = {}  # word letters -> pbw._PBWData
+        self._delta_cache: dict = {}  # E-word -> term map of its coproduct
 
     # -- constructors ------------------------------------------------------
 
@@ -139,8 +141,7 @@ class UAlgebra:
         out: dict[Key, QRat] = {}
         for w, c in x.terms.items():
             for w2, c2 in self.nf.reduce_word(w).items():
-                key = ((), self._zero_vec, w2)
-                add_scaled(out, {key: c2}, c)
+                add_term(out, ((), self._zero_vec, w2), c2 * c)
         return UElt(self, out)
 
     def _check_index(self, i: int) -> None:
@@ -164,7 +165,7 @@ class UAlgebra:
             head, i = e[:-1], e[-1]
             for (f1, k1, e1), c in self._e_times_f(head, j).items():
                 for e2, c2 in self.nf.reduce_word(e1 + (i,)).items():
-                    add_scaled(out, {(f1, k1, e2): ONE}, c * c2)
+                    add_term(out, (f1, k1, e2), c * c2)
             if i == j:
                 hw = self._wt(head)
                 ai = self.rs.simple(i)
@@ -172,8 +173,8 @@ class UAlgebra:
                 pos = qpow(-bilinear(self.rs, ai, hw)) * denom
                 neg = -qpow(bilinear(self.rs, ai, hw)) * denom
                 for e2, c2 in self.nf.reduce_word(head).items():
-                    add_scaled(out, {((), ai, e2): ONE}, pos * c2)
-                    add_scaled(out, {((), vec_neg(ai), e2): ONE}, neg * c2)
+                    add_term(out, ((), ai, e2), pos * c2)
+                    add_term(out, ((), vec_neg(ai), e2), neg * c2)
         self._ef[(e, j)] = out
         return out
 
@@ -183,7 +184,7 @@ class UAlgebra:
         for (f1, k1, e1), c in self._e_times_f(e, j).items():
             scal = qpow(-bilinear(self.rs, k, self._wt(f1))) * c
             for f2, c2 in self.nf.reduce_word(f + f1).items():
-                add_scaled(out, {(f2, vec_add(k, k1), e1): ONE}, scal * c2)
+                add_term(out, (f2, vec_add(k, k1), e1), scal * c2)
         return out
 
     def _key_times_k(self, key: Key, mu: Vec) -> dict[Key, QRat]:

@@ -20,7 +20,7 @@ from ..strata import CharacterData, CoidealTriple, validate_triple
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
-from .linalg import SpanSolver, solve_in_span
+from .linalg import SpanSolver, add_term, solve_in_span
 from .pbw import char_eval, pbw_data, pbw_expand
 
 TKey = tuple[Vec, Word, Vec, Word]
@@ -44,11 +44,7 @@ class TensorElt:
     def __add__(self, other: "TensorElt") -> "TensorElt":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s == ZERO:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, key, c)
         return TensorElt(self.alg, out)
 
     def __sub__(self, other: "TensorElt") -> "TensorElt":
@@ -64,11 +60,7 @@ class TensorElt:
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
                 for key, c in _tensor_term_product(self.alg, ka, kb).items():
-                    s = out.get(key, ZERO) + c * ca * cb
-                    if s == ZERO:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, key, c * ca * cb)
         return TensorElt(self.alg, out)
 
     def __repr__(self) -> str:
@@ -89,21 +81,13 @@ def _tensor_term_product(alg: UAlgebra, a: TKey, b: TKey) -> dict:
     out: dict = {}
     for (f1, k1, e1), c1 in left.items():
         for (f2, k2, e2), c2 in right.items():
-            key = (k1, e1, k2, e2)
-            s = out.get(key, ZERO) + c1 * c2
-            if s == ZERO:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (k1, e1, k2, e2), c1 * c2)
     return out
 
 
 def _delta_word(alg: UAlgebra, w: Word) -> dict:
     """Coproduct of the monomial E_w with no K-shift, cached per word."""
-    cache = getattr(alg, "_delta_cache", None)
-    if cache is None:
-        cache = {}
-        alg._delta_cache = cache
+    cache = alg._delta_cache
     hit = cache.get(w)
     if hit is not None:
         return hit
@@ -119,11 +103,7 @@ def _delta_word(alg: UAlgebra, w: Word) -> dict:
         for pkey, c in prev.items():
             for gkey, d in gen.items():
                 for key, e in _tensor_term_product(alg, pkey, gkey).items():
-                    s = out.get(key, ZERO) + e * c * d
-                    if s == ZERO:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, key, e * c * d)
     cache[w] = out
     return out
 
@@ -135,12 +115,7 @@ def coproduct(alg: UAlgebra, x: UElt) -> TensorElt:
     out: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         for (k1, e1, k2, e2), d in _delta_word(alg, ew).items():
-            key = (vec_add(k1, mu), e1, vec_add(k2, mu), e2)
-            s = out.get(key, ZERO) + c * d
-            if s == ZERO:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, (vec_add(k1, mu), e1, vec_add(k2, mu), e2), c * d)
     return TensorElt(alg, out)
 
 
@@ -161,19 +136,9 @@ def check_counit_law(alg: UAlgebra, x: UElt) -> bool:
     right: dict = {}
     for (k1, e1, k2, e2), c in t.terms.items():
         if not e1:
-            key = ((), k2, e2)
-            s = left.get(key, ZERO) + c
-            if s == ZERO:
-                left.pop(key, None)
-            else:
-                left[key] = s
+            add_term(left, ((), k2, e2), c)
         if not e2:
-            key = ((), k1, e1)
-            s = right.get(key, ZERO) + c
-            if s == ZERO:
-                right.pop(key, None)
-            else:
-                right[key] = s
+            add_term(right, ((), k1, e1), c)
     return left == x.terms and right == x.terms
 
 
@@ -183,19 +148,9 @@ def check_coassociativity(alg: UAlgebra, x: UElt) -> bool:
     rhs: dict = {}
     for (k1, e1, k2, e2), c in t.terms.items():
         for (ka, ea, kb, eb), d in _delta_word(alg, e1).items():
-            key = (vec_add(ka, k1), ea, vec_add(kb, k1), eb, k2, e2)
-            s = lhs.get(key, ZERO) + c * d
-            if s == ZERO:
-                lhs.pop(key, None)
-            else:
-                lhs[key] = s
+            add_term(lhs, (vec_add(ka, k1), ea, vec_add(kb, k1), eb, k2, e2), c * d)
         for (ka, ea, kb, eb), d in _delta_word(alg, e2).items():
-            key = (k1, e1, vec_add(ka, k2), ea, vec_add(kb, k2), eb)
-            s = rhs.get(key, ZERO) + c * d
-            if s == ZERO:
-                rhs.pop(key, None)
-            else:
-                rhs[key] = s
+            add_term(rhs, (k1, e1, vec_add(ka, k2), ea, vec_add(kb, k2), eb), c * d)
     return lhs == rhs
 
 
@@ -238,13 +193,7 @@ def psi_apply(alg: UAlgebra, x) -> UElt:
         beta = alg._wt(ew)
         norm = bilinear(alg.rs, beta, beta)
         # E_w K_{-beta} = q^{(beta,beta)} K_{-beta} E_w, so the exponent flips
-        key = ((), tuple(-b for b in beta), ew)
-        val = c * qpow(norm // 2)
-        s = out.get(key, ZERO) + val
-        if s == ZERO:
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, ((), tuple(-b for b in beta), ew), c * qpow(norm // 2))
     return UElt(alg, out)
 
 
@@ -365,11 +314,15 @@ class _GeneratedSpan:
         return solve_in_span(cands, v) is not None
 
 
-def _kexp_components(x: UElt) -> list[dict]:
+def _kexp_parts_in_span(sp: _GeneratedSpan, x: UElt) -> bool:
+    """Whether each K-degree component of a spanning element x lies in
+    the span; x in a single K-degree passes, being in the span itself."""
     by_kexp: dict = {}
     for (fw, mu, ew), c in x.terms.items():
         by_kexp.setdefault(mu, {})[(mu, ew)] = c
-    return [by_kexp[mu] for mu in sorted(by_kexp)]
+    if len(by_kexp) < 2:
+        return True
+    return all(sp.in_span(by_kexp[mu]) for mu in sorted(by_kexp))
 
 
 def coideal_check(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
@@ -387,11 +340,8 @@ def coideal_check(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
         if not sp.in_span({(row, ()): ONE}):
             return False
     for x in sp.elements:
-        parts = _kexp_components(x)
-        if len(parts) > 1:
-            for part in parts:
-                if not sp.in_span(part):
-                    return False
+        if not _kexp_parts_in_span(sp, x):
+            return False
         grouped: dict = {}
         for (k1, e1, k2, e2), c in coproduct(alg, x).terms.items():
             grouped.setdefault((k2, e2), {})[(k1, e1)] = c
@@ -410,10 +360,4 @@ def span_is_Q_graded(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     name the property on its own.
     """
     sp = _GeneratedSpan(alg, gens, h)
-    for x in sp.elements:
-        parts = _kexp_components(x)
-        if len(parts) > 1:
-            for part in parts:
-                if not sp.in_span(part):
-                    return False
-    return True
+    return all(_kexp_parts_in_span(sp, x) for x in sp.elements)

@@ -1,7 +1,10 @@
 """Sparse linear algebra over QRat used by the normal-form machinery.
 
 Vectors are dicts mapping hashable, totally ordered keys to nonzero
-QRat coefficients.
+QRat coefficients.  This module is the one place that accumulates such
+term maps: add_term adds a single term, add_scaled a whole vector, and
+both drop exact zeros.  Callers iterate term maps in insertion order,
+so both keep it: a key that cancels and is added again goes to the end.
 """
 
 from __future__ import annotations
@@ -9,8 +12,22 @@ from __future__ import annotations
 from ..coeffs import QRat, ZERO, ONE
 
 
+def add_term(dst: dict, key, c: QRat) -> None:
+    """dst[key] += c, dropping an exact zero."""
+    cur = dst.get(key)
+    nxt = c if cur is None else cur + c
+    if nxt == ZERO:
+        dst.pop(key, None)
+    else:
+        dst[key] = nxt
+
+
 def add_scaled(dst: dict, src: dict, c: QRat) -> None:
-    """dst += c * src, dropping exact zeros."""
+    """dst += c * src, dropping exact zeros.
+
+    The loop is add_term written out: this is the inner loop of
+    SpanSolver.reduce, and a call per term costs there.
+    """
     if c == ZERO:
         return
     for k, val in src.items():

@@ -17,7 +17,7 @@ from ..rootsys import Vec, bilinear
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt, root_vectors
-from .linalg import SpanSolver, add_scaled, solve_in_span
+from .linalg import SpanSolver, add_scaled, add_term, solve_in_span
 
 Expt = tuple[int, ...]
 
@@ -129,14 +129,10 @@ class _PBWData:
 
 
 def pbw_data(alg: UAlgebra, word: ReducedWord) -> _PBWData:
-    cache = getattr(alg, "_pbw", None)
-    if cache is None:
-        cache = {}
-        alg._pbw = cache
-    data = cache.get(word.letters)
+    data = alg._pbw.get(word.letters)
     if data is None:
         data = _PBWData(alg, word)
-        cache[word.letters] = data
+        alg._pbw[word.letters] = data
     return data
 
 
@@ -211,6 +207,28 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
 # characters
 
 
+def _theta_supported(a: Expt, S) -> bool:
+    """Whether the monomial E^a uses only positions in S."""
+    return all(e == 0 or k + 1 in S for k, e in enumerate(a))
+
+
+def _eval_terms(terms: dict, values: dict) -> QRat:
+    """Sum over terms of c * prod_k values[k]^a_k; a term that uses a
+    position outside values contributes zero."""
+    total = ZERO
+    for a, c in terms.items():
+        val = c
+        for k, e in enumerate(a, start=1):
+            if e == 0:
+                continue
+            if k not in values:
+                break
+            val = val * values[k] ** e
+        else:
+            total = total + val
+    return total
+
+
 def char_eval(char, x: PBWVec) -> QRat:
     """Evaluate a concrete character on a PBW vector.
 
@@ -222,22 +240,8 @@ def char_eval(char, x: PBWVec) -> QRat:
         raise ValueError("character and vector use different words")
     if char.f is None:
         raise ValueError("need concrete character values")
-    idx = set(theta.indices)
     roots = x.word.roots
-    total = ZERO
-    for a, c in x.terms.items():
-        val = c
-        dead = False
-        for k, e in enumerate(a, start=1):
-            if e == 0:
-                continue
-            if k not in idx:
-                dead = True
-                break
-            val = val * char.f[roots[k - 1]] ** e
-        if not dead:
-            total = total + val
-    return total
+    return _eval_terms(x.terms, {k: char.f[roots[k - 1]] for k in theta.indices})
 
 
 def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
@@ -270,30 +274,14 @@ def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
                             (1 if k in (i, j) else 0) for k in range(1, t + 1)
                         )
                         lhs[key] = coef
-                rhs: dict = {}
-                for a, c in rel.terms.items():
-                    if all(e == 0 or k + 1 in S for k, e in enumerate(a)):
-                        rhs[a] = c
+                rhs = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
                 if lhs != rhs:
                     return False
             else:
                 lv = ZERO
                 if i in S and j in S:
                     lv = (ONE - qpow(pair)) * f[i] * f[j]
-                rv = ZERO
-                for a, c in rel.terms.items():
-                    val = c
-                    dead = False
-                    for k, e in enumerate(a, start=1):
-                        if e == 0:
-                            continue
-                        if k not in S:
-                            dead = True
-                            break
-                        val = val * f[k] ** e
-                    if not dead:
-                        rv = rv + val
-                if lv != rv:
+                if lv != _eval_terms(rel.terms, f):
                     return False
     return True
 
@@ -309,10 +297,7 @@ def is_in_P_Theta(word: ReducedWord, theta, x: PBWVec) -> bool:
     generated by the outside root vectors.
     """
     S = set(theta)
-    for a in x.terms:
-        if all(e == 0 or k + 1 in S for k, e in enumerate(a)):
-            return False
-    return True
+    return not any(_theta_supported(a, S) for a in x.terms)
 
 
 class _IdealSpan:
@@ -361,20 +346,6 @@ class _IdealSpan:
         return basis
 
 
-def generator_in_ideal(alg: UAlgebra, word: ReducedWord, theta, k: int) -> bool:
-    """Membership of E_{beta_k} in the two-sided ideal generated by the
-    root vectors outside theta, decided by an exact linear solve."""
-    data = pbw_data(alg, word)
-    t = len(word.letters)
-    S = set(theta)
-    span = _IdealSpan(data, [m for m in range(1, t + 1) if m not in S])
-    unit = tuple(1 if p == k else 0 for p in range(1, t + 1))
-    solver = SpanSolver()
-    for vec in span.basis(data.roots[k - 1]):
-        solver.insert(vec)
-    return solver.contains({unit: ONE})
-
-
 def _theta_cone(data: _PBWData, S, bound: int) -> list[Vec]:
     """Nonzero weights sum a_k beta_k (k in S) of height at most bound."""
     roots = [data.roots[k - 1] for k in sorted(S)]
@@ -413,18 +384,10 @@ def quotient_is_commutative_polynomial(alg: UAlgebra, word: ReducedWord, theta) 
     data = pbw_data(alg, word)
     for i, j in combinations(S, 2):
         rel = ls_relation(alg, word, i, j)
-        resid = {
-            a: c
-            for a, c in rel.terms.items()
-            if all(e == 0 or k + 1 in S for k, e in enumerate(a))
-        }
+        resid = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
         pair = bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1])
         key = tuple((1 if p in (i, j) else 0) for p in range(1, t + 1))
-        shift = resid.get(key, ZERO) + qpow(pair) - ONE
-        if shift == ZERO:
-            resid.pop(key, None)
-        else:
-            resid[key] = shift
+        add_term(resid, key, qpow(pair) - ONE)
         if resid:
             return False
     span = _IdealSpan(data, [m for m in range(1, t + 1) if m not in S])
@@ -435,7 +398,7 @@ def quotient_is_commutative_polynomial(alg: UAlgebra, word: ReducedWord, theta) 
         if solver.rank == 0:
             continue
         for a in data.exponents_of_weight(mu):
-            if all(e == 0 or k + 1 in S for k, e in enumerate(a)):
+            if _theta_supported(a, S):
                 if not solver.insert({a: ONE}):
                     return False
     return True

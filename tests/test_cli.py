@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -158,3 +159,43 @@ def test_bad_word_parse(capsys):
     code, _, err = run(capsys, "weyl", "--type", "A2", "--word", "1,x")
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ls", "--type", "A2", "--height", "0", "1", "3"),
+    ("ls", "--type", "A2", "--height", "-1", "1", "3"),
+    ("ls", "--type", "A2", "--height", "1", "1", "3"),
+    ("verify", "--type", "A2", "--suite", "ls", "--height", "1"),
+])
+def test_height_too_small_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# sha256 of stdout for one cheap invocation of each subcommand; output is
+# byte-stable, so a changed digest is a changed result or format
+FROZEN = {
+    ("roots", "--type", "B2"):
+        "e71d000f22137d80060cd67b66a9a819dc4808eb3fa2862c813e7148a613b7fc",
+    ("weyl", "--type", "A2", "--word", "all"):
+        "9a5570a58de28b71ea445444ab3647ae26f4e46195a0354169e051bc1625ac06",
+    ("strata", "--type", "B2"):
+        "d82bcfe5848b81ebfb4adb0fe657d4526e4c97d80c88120d6f8c038694b5f41a",
+    ("classify", "--type", "A2", "--word", "1,2,1"):
+        "0f97b49fe9b98a302e1b9382c8ffbfee8376b8a702031d0c05b00479a9e01d5e",
+    ("ls", "--type", "B2", "1", "4"):
+        "d0864f5d26de5c0e18f664510bbe7e5817e28a8349e64771c1ab8dd06a55716c",
+    ("verify", "--type", "A2", "--suite", "hopf", "--format", "json"):
+        "f0fa93e4b196759d6e7dff03bb80a05dffb9a7821fceffab9f114d4b41923426",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN), ids=" ".join)
+def test_output_frozen(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN[argv]
