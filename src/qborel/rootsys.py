@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidCartan, NotInPositiveCone
 
@@ -177,18 +177,18 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.cartan)
 
-    @property
-    def root_index(self) -> dict[Vec, int]:
-        return _root_index(self)
-
-    @property
+    @cached_property
     def pos_root_set(self) -> frozenset[Vec]:
-        return _pos_root_set(self)
+        return frozenset(self.pos_roots)
 
-    @property
+    @cached_property
     def rho(self) -> tuple[Fraction, ...]:
         """Half the sum of the positive roots, in simple root coordinates."""
-        return _rho(self)
+        total = [Fraction(0)] * self.rank
+        for b in self.pos_roots:
+            for j, x in enumerate(b):
+                total[j] += x
+        return tuple(x / 2 for x in total)
 
     @property
     def highest_height(self) -> int:
@@ -205,25 +205,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.pos_roots)})"
-
-
-@lru_cache(maxsize=None)
-def _root_index(rs: RootSystem) -> dict[Vec, int]:
-    return {b: i for i, b in enumerate(rs.pos_roots)}
-
-
-@lru_cache(maxsize=None)
-def _pos_root_set(rs: RootSystem) -> frozenset[Vec]:
-    return frozenset(rs.pos_roots)
-
-
-@lru_cache(maxsize=None)
-def _rho(rs: RootSystem) -> tuple[Fraction, ...]:
-    total = [Fraction(0)] * rs.rank
-    for b in rs.pos_roots:
-        for j, x in enumerate(b):
-            total[j] += x
-    return tuple(x / 2 for x in total)
 
 
 def _close_positive_roots(a: list[list[int]], n: int) -> tuple[Vec, ...]:
@@ -399,17 +380,23 @@ class LatticeSubgroup:
     def rank(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Vec) -> bool:
+    def reduce(self, v: Vec) -> Vec:
+        """The canonical representative of the coset v + L.
+
+        Each Hermite row, in order, clears its pivot entry down to the
+        range [0, pivot); vectors in the same coset reduce alike.
+        """
         rem = list(v)
         for row in self.basis:
             col = next(j for j, x in enumerate(row) if x)
-            if rem[col]:
-                qt, r = divmod(rem[col], row[col])
-                if r:
-                    return False
-                for j in range(self.n):
+            qt = rem[col] // row[col]
+            if qt:
+                for j in range(col, self.n):
                     rem[j] -= qt * row[j]
-        return not any(rem)
+        return tuple(rem)
+
+    def contains(self, v: Vec) -> bool:
+        return not any(self.reduce(v))
 
     def leq(self, other: "LatticeSubgroup") -> bool:
         """Whether this lattice is a subgroup of the other."""
@@ -426,37 +413,15 @@ def lattice_leq(a: LatticeSubgroup, b: LatticeSubgroup) -> bool:
 
 
 def integer_kernel(rows: list[list[int]], n: int) -> LatticeSubgroup:
-    """Kernel lattice {x in Z^n : M x = 0} for the m x n integer matrix M."""
+    """Kernel lattice {x in Z^n : M x = 0} for the m x n integer matrix M.
+
+    The Hermite form of (M^T | I) is a unimodular change of the rows
+    (M e_i, e_i); its rows whose image part vanishes are a basis of the
+    kernel, read off the identity part.
+    """
     m = len(rows)
-    # work rows: (image of e_i under M, e_i); integer row reduction on the
-    # image part leaves the kernel generators visible in the identity part
     work = [[rows[k][i] for k in range(m)] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for col in range(m):
-        piv = None
-        for i in range(r, n):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        while True:
-            nz = [i for i in range(r + 1, n) if work[i][col]]
-            if not nz:
-                break
-            for i in nz:
-                qt = work[i][col] // work[r][col]
-                if qt:
-                    for j in range(m + n):
-                        work[i][j] -= qt * work[r][j]
-                if work[i][col]:
-                    work[r], work[i] = work[i], work[r]
-        r += 1
-        if r == n:
-            break
-    gens = [row[m:] for row in work[r:]]
-    return LatticeSubgroup.from_generators(n, gens)
+    return LatticeSubgroup(n, tuple(row[m:] for row in _hnf(work) if not any(row[:m])))
 
 
 def orthogonal_complement_lattice(rs: RootSystem, vectors) -> LatticeSubgroup:

@@ -9,7 +9,7 @@ of the corresponding graded piece of U+.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from ..coeffs import QRat, ZERO, ONE, from_int, q_binomial
 from ..errors import BadIndex, HeightOverflow, InvalidPair
@@ -51,12 +51,14 @@ class FreeElt:
 
     def __add__(self, other: "FreeElt") -> "FreeElt":
         out = dict(self.terms)
-        add_scaled(out, other.terms, ONE)
+        for w, c in other.terms.items():
+            add_term(out, w, c)
         return FreeElt(out)
 
     def __sub__(self, other: "FreeElt") -> "FreeElt":
         out = dict(self.terms)
-        add_scaled(out, other.terms, -ONE)
+        for w, c in other.terms.items():
+            add_term(out, w, -c)
         return FreeElt(out)
 
     def __neg__(self) -> "FreeElt":
@@ -212,7 +214,7 @@ class NFContext:
             gap = tuple(a - b for a, b in zip(mu, nu))
             if any(c < 0 for c in gap):
                 continue
-            for left in _sub_weights(gap):
+            for left in product(*(range(g + 1) for g in gap)):
                 right = tuple(a - b for a, b in zip(gap, left))
                 for u in _words_of_weight(left):
                     for v in _words_of_weight(right):
@@ -246,15 +248,6 @@ class NFContext:
 
     def dim_ideal(self, mu: Vec) -> int:
         return len(self.component(mu).rewrites)
-
-
-@lru_cache(maxsize=None)
-def _sub_weights(mu: Vec) -> tuple[Vec, ...]:
-    """All lattice points 0 <= nu <= mu, componentwise."""
-    if not mu:
-        return ((),)
-    tails = _sub_weights(mu[1:])
-    return tuple((h,) + t for h in range(mu[0] + 1) for t in tails)
 
 
 def nf_plus(ctx: NFContext, x: FreeElt) -> FreeElt:

@@ -37,12 +37,14 @@ class UElt:
 
     def __add__(self, other: "UElt") -> "UElt":
         out = dict(self.terms)
-        add_scaled(out, other.terms, ONE)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
         return UElt(self.alg, out)
 
     def __sub__(self, other: "UElt") -> "UElt":
         out = dict(self.terms)
-        add_scaled(out, other.terms, -ONE)
+        for key, c in other.terms.items():
+            add_term(out, key, -c)
         return UElt(self.alg, out)
 
     def __neg__(self) -> "UElt":
@@ -111,6 +113,7 @@ class UAlgebra:
         self._tgen: dict[tuple[int, str, int, bool], UElt] = {}
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
+        self._span_cache: dict = {}  # (generators, height) -> hopf._GeneratedSpan, last one only
 
     # -- constructors ------------------------------------------------------
 

@@ -20,7 +20,7 @@ from ..strata import CharacterData, CoidealTriple, validate_triple
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
-from .linalg import SpanSolver, add_term, solve_in_span
+from .linalg import SpanSolver, add_term
 from .pbw import char_eval, pbw_data, pbw_expand
 
 TKey = tuple[Vec, Word, Vec, Word]
@@ -241,10 +241,20 @@ def twist_generators(
 class _GeneratedSpan:
     """Span of all products of the generators up to total E-height h.
 
-    Grouplike generators are split off into a lattice of allowed K-shifts;
-    membership queries may translate any basis vector by K_lam for lam in
-    that lattice (with the commutation scalar), so the span is really a
-    module over the grouplikes.
+    Grouplike generators are split off into a lattice L of K-exponents,
+    and the span is a right module over their group algebra.  It is kept
+    modulo L: as K_k E_e = q^{(lam, wt e)} K_r E_e K_lam for r =
+    L.reduce(k), the canonical coset representative, and lam = k - r, a
+    key (k, e) becomes (r, e) with its coefficient times q^{(lam, wt e)}.
+    Every K_L-shift of a vector reduces to the same vector, so one
+    SpanSolver holds the reduced spanning products, and in_span asks it
+    about the reduced query.
+
+    The model is exact for a query in one K-degree when the span is
+    graded by the K-exponent, and it is whenever each generator lies in
+    one K-degree.  Otherwise it can accept vectors outside the module
+    (E_1 (1 - K_1) reduces to 0 modulo L = Z alpha_1), so a generator
+    spread over several K-degrees next to grouplikes is refused.
     """
 
     def __init__(self, alg: UAlgebra, gens: list[UElt], h: int):
@@ -266,6 +276,8 @@ class _GeneratedSpan:
             others.append(g)
         self.lat_rows = lat_rows
         self.L = LatticeSubgroup.from_generators(n, lat_rows)
+        if self.L.rank and any(len({mu for (fw, mu, ew) in g.terms}) > 1 for g in others):
+            raise ValueError("next to grouplikes, every generator must lie in one K-degree")
 
         heights = []
         for g in others:
@@ -274,44 +286,44 @@ class _GeneratedSpan:
                 raise HeightOverflow(f"generator of height {ht} exceeds bound {h}")
             heights.append(max(ht, 1))
 
-        span = SpanSolver()
-        self.basis: list[dict] = []
+        self._span = SpanSolver()
         self.elements: list[UElt] = []
 
-        def visit(x: UElt) -> None:
-            vec = {(mu, ew): c for (fw, mu, ew), c in x.terms.items()}
-            if vec and span.insert(vec):
-                self.basis.append(vec)
-                self.elements.append(x)
-
         def products(idx: int, budget: int, acc: UElt) -> None:
-            visit(acc)
+            vec = self._reduced({(mu, ew): c for (fw, mu, ew), c in acc.terms.items()})
+            if vec and self._span.insert(vec):
+                self.elements.append(acc)
             for j in range(idx, len(others)):
                 if heights[j] <= budget:
                     products(j, budget - heights[j], acc * others[j])
 
         products(0, h, alg.one())
 
+    def _reduced(self, v: dict) -> dict:
+        """v with every K-exponent reduced modulo L."""
+        rs, wt, L = self.alg.rs, self.alg._wt, self.L
+        out: dict = {}
+        for (k, e), c in v.items():
+            r = L.reduce(k)
+            if r != k:
+                c = c * qpow(bilinear(rs, vec_sub(k, r), wt(e)))
+            add_term(out, (r, e), c)
+        return out
+
     def in_span(self, v: dict) -> bool:
-        if not v:
-            return True
-        alg = self.alg
-        vkexps = {k for (k, e) in v}
-        cands: list[dict] = []
-        for p in self.basis:
-            shifts = set()
-            for pk, pe in p:
-                for vk in vkexps:
-                    shifts.add(vec_sub(vk, pk))
-            for lam in shifts:
-                if not self.L.contains(lam):
-                    continue
-                cand = {}
-                for (pk, pe), c in p.items():
-                    scal = qpow(-bilinear(alg.rs, lam, alg._wt(pe)))
-                    cand[(vec_add(pk, lam), pe)] = c * scal
-                cands.append(cand)
-        return solve_in_span(cands, v) is not None
+        return self._span.contains(self._reduced(v))
+
+
+def _generated_span(alg: UAlgebra, gens: list[UElt], h: int) -> _GeneratedSpan:
+    """The span of gens up to height h, kept on the algebra for the
+    generators it was last asked about."""
+    key = (tuple(gens), h)
+    hit = alg._span_cache.get(key)
+    if hit is None:
+        hit = _GeneratedSpan(alg, gens, h)
+        alg._span_cache.clear()
+        alg._span_cache[key] = hit
+    return hit
 
 
 def _kexp_parts_in_span(sp: _GeneratedSpan, x: UElt) -> bool:
@@ -328,13 +340,15 @@ def _kexp_parts_in_span(sp: _GeneratedSpan, x: UElt) -> bool:
 def coideal_check(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     """Desk-scale right-coideal test for the subalgebra generated by gens.
 
-    Grouplike generators define a lattice of allowed K-shifts; the rest
-    span products up to total E-height h.  The check demands, for every
-    spanning element x, that each left tensor leg of Delta(x) lies in
-    the shifted span, and that the K-degree components of x do too, so
-    the span is graded by the K-exponent.
+    Grouplike generators define a lattice L of K-exponents; the rest
+    span products up to total E-height h, kept modulo L (see
+    _GeneratedSpan).  The check demands, for every spanning element x,
+    that each left tensor leg of Delta(x) lies in that span, and that the
+    K-degree components of x do too, so the span is graded by the
+    K-exponent.  Raises ValueError for a generator spread over several
+    K-degrees next to grouplikes, where that model is not exact.
     """
-    sp = _GeneratedSpan(alg, gens, h)
+    sp = _generated_span(alg, gens, h)
     for row in sp.lat_rows:
         # grouplikes are their own coproduct legs
         if not sp.in_span({(row, ()): ONE}):
@@ -359,5 +373,5 @@ def span_is_Q_graded(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     components inside the span.  Tested separately from coideal_check to
     name the property on its own.
     """
-    sp = _GeneratedSpan(alg, gens, h)
+    sp = _generated_span(alg, gens, h)
     return all(_kexp_parts_in_span(sp, x) for x in sp.elements)

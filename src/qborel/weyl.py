@@ -291,10 +291,6 @@ def weyl_bruhat_equiv(u: WeylElt, beta: Vec) -> tuple[bool, bool, bool]:
 # chain surgery
 
 
-def _is_positive(v: Vec) -> bool:
-    return all(x >= 0 for x in v) and any(x > 0 for x in v)
-
-
 def _as_positive_root(rs: RootSystem, v: Vec) -> Vec:
     if v in rs.pos_root_set:
         return v
@@ -302,10 +298,6 @@ def _as_positive_root(rs: RootSystem, v: Vec) -> Vec:
     if w in rs.pos_root_set:
         return w
     raise InternalContradiction(f"{v} is not plus or minus a positive root")
-
-
-def _drops_by_one(w: WeylElt, beta: Vec) -> bool:
-    return (reflection_of_root(w.rs, beta) * w).length == w.length - 1
 
 
 def validate_chain(w: WeylElt, betas) -> None:

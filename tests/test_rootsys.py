@@ -1,6 +1,8 @@
 """Root systems from Cartan data, the symmetrized form, integer lattices."""
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from qborel.rootsys import (
     orthogonal_complement_lattice,
     pair_with_rho,
     reflect,
+    vec_sub,
 )
 from qborel.weyl import from_word, identity
 
@@ -141,6 +144,40 @@ def test_integer_kernel():
     assert K.basis == ((1, -1),)
     K2 = integer_kernel([[2, 4]], 2)
     assert K2.contains((2, -1)) and not K2.contains((1, 0))
+
+
+def test_lattice_reduce_is_a_coset_representative():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        L = LatticeSubgroup.from_generators(n, gens)
+        v = tuple(rng.randint(-20, 20) for _ in range(n))
+        r = L.reduce(v)
+        assert L.contains(vec_sub(v, r))
+        shifted = list(v)
+        for row in L.basis:
+            c = rng.randint(-4, 4)
+            shifted = [x + c * y for x, y in zip(shifted, row)]
+        assert L.reduce(tuple(shifted)) == r
+        assert L.reduce(r) == r
+        for row in L.basis:
+            col = next(j for j, x in enumerate(row) if x)
+            assert 0 <= r[col] < row[col]
+        assert L.contains(v) == (not any(r))
+
+
+def test_integer_kernel_random_matrices():
+    rng = random.Random(5)
+    for _ in range(100):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        K = integer_kernel(rows, n)
+        for b in K.basis:
+            assert all(sum(a * x for a, x in zip(row, b)) == 0 for row in rows)
+        for x in itertools.product(range(-3, 4), repeat=n):
+            if all(sum(a * y for a, y in zip(row, x)) == 0 for row in rows):
+                assert K.contains(x), (rows, x)
 
 
 def test_orthogonal_complement():

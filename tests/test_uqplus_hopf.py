@@ -6,7 +6,14 @@ import pytest
 
 from qborel.coeffs import ONE, from_int, qpow
 from qborel.errors import InvalidTriple
-from qborel.rootsys import LatticeSubgroup, build_root_system, vec_add
+from qborel.rootsys import (
+    LatticeSubgroup,
+    bilinear,
+    build_root_system,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
 from qborel.strata import (
     character,
     enumerate_strata,
@@ -15,6 +22,7 @@ from qborel.strata import (
     theta_set,
 )
 from qborel.uqplus.free import FreeElt, word_weight
+from qborel.uqplus import hopf
 from qborel.uqplus.full import UAlgebra
 from qborel.uqplus.hopf import (
     check_coassociativity,
@@ -26,8 +34,9 @@ from qborel.uqplus.hopf import (
     span_is_Q_graded,
     twist_generators,
 )
+from qborel.uqplus.linalg import SpanSolver, solve_in_span
 from qborel.uqplus.pbw import pbw_data
-from qborel.weyl import ReducedWord, from_word
+from qborel.weyl import ReducedWord, canonical_word, from_word, weyl_group
 
 A2 = build_root_system("A2")
 ALG = UAlgebra(A2)
@@ -157,6 +166,15 @@ def test_coideal_check_basics():
     assert not coideal_check(ALG, [bad], 4)
 
 
+def test_mixed_degree_generator_next_to_grouplikes_is_refused():
+    # E_1 (1 - K_1) vanishes modulo L = Z alpha_1, so the model would pass it
+    k1, k1inv = ALG.K(A1VEC), ALG.K((-1, 0))
+    with pytest.raises(ValueError):
+        coideal_check(ALG, [ALG.E(1) - ALG.E(1) * k1, k1, k1inv], 4)
+    with pytest.raises(ValueError):
+        span_is_Q_graded(ALG, [ALG.E(1) + k1 * ALG.E(1), k1, k1inv], 4)
+
+
 def test_a2_strata_give_right_coideals():
     w0 = from_word(A2, (1, 2, 1))
     word = ReducedWord(A2, (1, 2, 1))
@@ -166,3 +184,96 @@ def test_a2_strata_give_right_coideals():
         gens = twist_generators(ALG, word, ch, L)
         assert coideal_check(ALG, gens, 4), st.theta.indices
         assert span_is_Q_graded(ALG, gens, 4), st.theta.indices
+
+
+def _shift_oracle(alg, gens, h):
+    """Span membership with every K_L-shift of the basis written out.
+
+    The products of the non-grouplike generators up to height h are kept
+    unreduced; a query v is solved against each basis vector translated
+    by every lattice vector that moves one of its K-exponents onto one of
+    v's, with the commutation scalar of right multiplication by K_lam.
+    """
+    lat, others = [], []
+    for g in gens:
+        if g.is_zero():
+            continue
+        keys = list(g.terms)
+        if len(keys) == 1 and not keys[0][2]:
+            if any(keys[0][1]):
+                lat.append(keys[0][1])
+        else:
+            others.append(g)
+    L = LatticeSubgroup.from_generators(alg.rs.rank, lat)
+    heights = [max(1, max(len(ew) for (fw, mu, ew) in g.terms)) for g in others]
+    solver, basis = SpanSolver(), []
+
+    def products(idx, budget, acc):
+        vec = {(mu, ew): c for (fw, mu, ew), c in acc.terms.items()}
+        if vec and solver.insert(vec):
+            basis.append(vec)
+        for j in range(idx, len(others)):
+            if heights[j] <= budget:
+                products(j, budget - heights[j], acc * others[j])
+
+    products(0, h, alg.one())
+
+    def in_span(v):
+        if not v:
+            return True
+        cands = []
+        for p in basis:
+            for lam in {vec_sub(vk, pk) for (pk, pe) in p for (vk, ve) in v}:
+                if L.contains(lam):
+                    cands.append({
+                        (vec_add(pk, lam), pe): c * qpow(-bilinear(alg.rs, lam, alg._wt(pe)))
+                        for (pk, pe), c in p.items()
+                    })
+        return solve_in_span(cands, v) is not None
+
+    return L, in_span
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_in_span_matches_shift_oracle(monkeypatch, label):
+    rs = build_root_system(label)
+    alg = ALG if label == "A2" else UAlgebra(rs)
+    asked = []
+    real = hopf._GeneratedSpan.in_span
+
+    def spy(self, v):
+        ans = real(self, v)
+        asked.append((v, ans))
+        return ans
+
+    monkeypatch.setattr(hopf._GeneratedSpan, "in_span", spy)
+    cases = []
+    for g in weyl_group(rs):
+        word = ReducedWord(rs, canonical_word(g))
+        if any(sum(b) > 4 for b in word.roots):
+            continue
+        for st in enumerate_strata(word.element, word):
+            ch = character(st, {b: ONE for b in st.theta.roots})
+            cases.append(twist_generators(alg, word, ch, max_admissible_lattice(ch)))
+    cases.append([alg.E(1)])
+    # E-weights that pair differently with L, so the scalar of a shift matters
+    a1 = rs.simple(1)
+    cases.append([alg.E(1) + alg.E(2), alg.K(a1), alg.K(vec_neg(a1))])
+    cases.append([psi_apply(alg, alg.E(1)) + alg.K(vec_neg(rs.simple(2)))])
+    n_queries = n_shifted = n_false = 0
+    for gens in cases:
+        asked.clear()
+        coideal_check(alg, gens, 4)
+        # K-shifts of the spanning elements on either side test the scalar
+        sp = hopf._generated_span(alg, gens, 4)
+        for x in sp.elements:
+            for row in sp.lat_rows:
+                for y in (x * alg.K(row), alg.K(row) * x):
+                    sp.in_span({(mu, ew): c for (fw, mu, ew), c in y.terms.items()})
+        L, oracle = _shift_oracle(alg, gens, 4)
+        for v, ans in asked:
+            assert ans == oracle(v), (gens, v)
+            n_false += not ans
+        n_queries += len(asked)
+        n_shifted += len(asked) * (L.rank > 0)
+    assert n_queries > 50 and n_shifted > 0 and n_false > 0
