@@ -126,7 +126,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _longest_element(rs: RootSystem) -> WeylElt:
-    return max(weyl_group(rs), key=lambda g: g.length)
+    return weyl_group(rs)[-1]
 
 
 def _parse_word(rs: RootSystem, text: str) -> ReducedWord:
@@ -139,15 +139,11 @@ def _parse_word(rs: RootSystem, text: str) -> ReducedWord:
     return ReducedWord(rs, letters)
 
 
-def _sorted_group(rs: RootSystem) -> list[WeylElt]:
-    return sorted(weyl_group(rs), key=lambda g: (g.length, canonical_word(g)))
-
-
 def _selected_words(cfg: RunConfig) -> list[ReducedWord]:
     if cfg.word_sel == "w0":
         return [ReducedWord(cfg.rs, canonical_word(_longest_element(cfg.rs)))]
     if cfg.word_sel == "all":
-        return [ReducedWord(cfg.rs, canonical_word(g)) for g in _sorted_group(cfg.rs)]
+        return [ReducedWord(cfg.rs, canonical_word(g)) for g in weyl_group(cfg.rs)]
     return [_parse_word(cfg.rs, cfg.word_sel)]
 
 
@@ -189,7 +185,7 @@ def cmd_roots(cfg: RunConfig) -> int:
 def cmd_weyl(cfg: RunConfig) -> int:
     rs = cfg.rs
     if cfg.word_sel in ("all",):
-        group = _sorted_group(rs)
+        group = weyl_group(rs)
         doc = {
             "type": cfg.label,
             "order": len(group),
@@ -323,7 +319,7 @@ def suite_strata(rs: RootSystem, label: str, height: Optional[int] = None) -> li
     dims_ok = True
     ends_ok = True
     n_words = 0
-    for g in _sorted_group(rs):
+    for g in weyl_group(rs):
         for letters in all_reduced_words(g):
             word = ReducedWord(rs, letters)
             thetas = enumerate_Tw(g, word)
@@ -379,7 +375,7 @@ def suite_ls(rs: RootSystem, label: str, height: Optional[int] = None) -> list[C
     shape_ok = True
     weight_ok = True
     n_pairs = 0
-    for g in _sorted_group(rs):
+    for g in weyl_group(rs):
         if g.length < 2:
             continue
         word = ReducedWord(rs, canonical_word(g))
@@ -411,7 +407,7 @@ def suite_ls(rs: RootSystem, label: str, height: Optional[int] = None) -> list[C
 def _suite_words(rs: RootSystem) -> list[ReducedWord]:
     # rank 2: every element; rank >= 3: just the longest element
     if rs.rank <= 2:
-        return [ReducedWord(rs, canonical_word(g)) for g in _sorted_group(rs)]
+        return [ReducedWord(rs, canonical_word(g)) for g in weyl_group(rs)]
     return [ReducedWord(rs, canonical_word(_longest_element(rs)))]
 
 
@@ -482,7 +478,7 @@ def suite_characters(rs: RootSystem, label: str, height: Optional[int] = None) -
 def suite_weyl(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
     """Weyl group toolkit: descent test agreement and chain normalization."""
     rng = random.Random(20260814)
-    group = _sorted_group(rs)
+    group = weyl_group(rs)
     checks = []
     agree_ok = True
     if rs.rank <= 2:
@@ -509,10 +505,9 @@ def suite_weyl(rs: RootSystem, label: str, height: Optional[int] = None) -> list
             x = w
             dead = False
             for _ in range(m):
+                shorter = x.length - 1
                 opts = [
-                    b
-                    for b in rs.pos_roots
-                    if (reflection_of_root(rs, b) * x).length == x.length - 1
+                    b for b in rs.pos_roots if (reflection_of_root(rs, b) * x).length == shorter
                 ]
                 if not opts:
                     dead = True

@@ -161,6 +161,8 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Gcd of integer polynomials, primitive with positive leading coeff."""
+    if a == (1,) or b == (1,):
+        return (1,)
     if not a:
         return _pprim(b)[0]
     if not b:
@@ -349,7 +351,7 @@ class QRat:
         if not self.num:
             return (), (Fraction(1),)
         lc = self.den[-1]
-        num = tuple(self.c * x * lc for x in self.num)
+        num = tuple(self.c * x / lc for x in self.num)
         den = tuple(Fraction(x, lc) for x in self.den)
         return num, den
 

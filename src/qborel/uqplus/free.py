@@ -9,12 +9,12 @@ of the corresponding graded piece of U+.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
-from ..coeffs import QRat, ZERO, ONE, from_int, q_binomial
+from ..coeffs import QRat, ONE, q_binomial
 from ..errors import BadIndex, HeightOverflow, InvalidPair
 from ..rootsys import RootSystem, Vec
-from .linalg import SpanSolver, add_scaled, add_term
+from .linalg import SpanSolver, TermMap, add_scaled, add_term
 
 Word = tuple[int, ...]
 
@@ -26,13 +26,13 @@ def word_weight(word: Word, n: int) -> Vec:
     return tuple(out)
 
 
-class FreeElt:
+class FreeElt(TermMap):
     """A finite QRat-linear combination of words in the E generators."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Word, QRat]):
-        self.terms = {w: c for w, c in terms.items() if c != ZERO}
+    def _new(self, terms: dict) -> "FreeElt":
+        return FreeElt(terms)
 
     @staticmethod
     def zero() -> "FreeElt":
@@ -46,27 +46,6 @@ class FreeElt:
     def gen(i: int) -> "FreeElt":
         return FreeElt({(i,): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeElt") -> "FreeElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        return FreeElt(out)
-
-    def __sub__(self, other: "FreeElt") -> "FreeElt":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, -c)
-        return FreeElt(out)
-
-    def __neg__(self) -> "FreeElt":
-        return FreeElt({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: QRat) -> "FreeElt":
-        return FreeElt({w: v * c for w, v in self.terms.items()})
-
     def __mul__(self, other: "FreeElt") -> "FreeElt":
         out: dict[Word, QRat] = {}
         for w1, c1 in self.terms.items():
@@ -79,12 +58,6 @@ class FreeElt:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeElt) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def weight_components(self, n: int) -> dict[Vec, "FreeElt"]:
         comps: dict[Vec, dict[Word, QRat]] = {}
@@ -170,10 +143,9 @@ def kostant_dim(rs: RootSystem, mu: Vec) -> int:
 
 
 class _WeightComponent:
-    __slots__ = ("words", "rewrites", "complement")
+    __slots__ = ("rewrites", "complement")
 
-    def __init__(self, words, rewrites, complement):
-        self.words = words            # all words of this weight, ascending lex
+    def __init__(self, rewrites, complement):
         self.rewrites = rewrites      # pivot word -> dict(complement word -> QRat)
         self.complement = complement  # non-pivot words, ascending lex
 
@@ -208,7 +180,6 @@ class NFContext:
         return comp
 
     def _build_component(self, mu: Vec) -> _WeightComponent:
-        words = _words_of_weight(mu)
         solver = SpanSolver()
         for nu, rel in self._serre:
             gap = tuple(a - b for a, b in zip(mu, nu))
@@ -220,11 +191,10 @@ class NFContext:
                     for v in _words_of_weight(right):
                         vec = {u + w + v: c for w, c in rel.terms.items()}
                         solver.insert(vec)
-        rewrites = {}
-        for pivot, row in solver.rows.items():
-            rewrites[pivot] = {w: -c for w, c in row.items() if w != pivot}
-        complement = tuple(w for w in words if w not in rewrites)
-        return _WeightComponent(words, rewrites, complement)
+        # the solver's rows are the rewrite rules of the pivot words
+        rewrites = solver.rows
+        complement = tuple(w for w in _words_of_weight(mu) if w not in rewrites)
+        return _WeightComponent(rewrites, complement)
 
     def reduce_word(self, w: Word) -> dict[Word, QRat]:
         mu = word_weight(w, self.rs.rank)

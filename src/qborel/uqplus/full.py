@@ -14,44 +14,29 @@ equal term maps.
 
 from __future__ import annotations
 
-from ..coeffs import QRat, ZERO, ONE, qpow, q_factorial
+from ..coeffs import QRat, ONE, qpow, q_factorial
 from ..errors import BadIndex, NotReduced
 from ..rootsys import RootSystem, Vec, bilinear, reflect, vec_add, vec_neg
 from ..weyl import ReducedWord
 from .free import FreeElt, NFContext, Word, word_weight
-from .linalg import add_scaled, add_term
+from .linalg import TermMap, add_scaled, add_term
 
 # term key: (F-word, K-exponent, E-word)
 Key = tuple[Word, Vec, Word]
 
 
-class UElt:
-    __slots__ = ("alg", "terms")
+class UElt(TermMap):
+    __slots__ = ("alg",)
 
     def __init__(self, alg: "UAlgebra", terms: dict[Key, QRat]):
         self.alg = alg
-        self.terms = {k: c for k, c in terms.items() if c != ZERO}
+        super().__init__(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms: dict) -> "UElt":
+        return UElt(self.alg, terms)
 
-    def __add__(self, other: "UElt") -> "UElt":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return UElt(self.alg, out)
-
-    def __sub__(self, other: "UElt") -> "UElt":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, -c)
-        return UElt(self.alg, out)
-
-    def __neg__(self) -> "UElt":
-        return UElt(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: QRat) -> "UElt":
-        return UElt(self.alg, {k: v * c for k, v in self.terms.items()})
+    def _ctx(self) -> "UAlgebra":
+        return self.alg
 
     def __mul__(self, other: "UElt") -> "UElt":
         alg = self.alg
@@ -66,16 +51,6 @@ class UElt:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UElt)
-            and self.alg is other.alg
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def in_plus(self) -> bool:
         return all(not f and all(c == 0 for c in k) for f, k, _ in self.terms)
@@ -141,11 +116,8 @@ class UAlgebra:
         return qpow(self.rs.d[i - 1])
 
     def from_free(self, x: FreeElt) -> UElt:
-        out: dict[Key, QRat] = {}
-        for w, c in x.terms.items():
-            for w2, c2 in self.nf.reduce_word(w).items():
-                add_term(out, ((), self._zero_vec, w2), c2 * c)
-        return UElt(self, out)
+        zero = self._zero_vec
+        return UElt(self, {((), zero, w): c for w, c in self.nf.reduce(x).terms.items()})
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rs.rank:

@@ -6,8 +6,6 @@ normal form, so equality of TensorElts is equality of term maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..coeffs import QRat, ZERO, ONE, qpow
 from ..errors import (
     HeightOverflow,
@@ -20,40 +18,24 @@ from ..strata import CharacterData, CoidealTriple, validate_triple
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
-from .linalg import SpanSolver, add_term
+from .linalg import SpanSolver, TermMap, add_term
 from .pbw import char_eval, pbw_data, pbw_expand
 
 TKey = tuple[Vec, Word, Vec, Word]
 
 
-@dataclass(frozen=True, eq=False)
-class TensorElt:
-    alg: UAlgebra
-    terms: dict
+class TensorElt(TermMap):
+    __slots__ = ("alg",)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __init__(self, alg: UAlgebra, terms: dict):
+        self.alg = alg
+        super().__init__(terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElt)
-            and self.alg is other.alg
-            and self.terms == other.terms
-        )
+    def _new(self, terms: dict) -> "TensorElt":
+        return TensorElt(self.alg, terms)
 
-    def __add__(self, other: "TensorElt") -> "TensorElt":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return TensorElt(self.alg, out)
-
-    def __sub__(self, other: "TensorElt") -> "TensorElt":
-        return self + other.scale(-ONE)
-
-    def scale(self, c: QRat) -> "TensorElt":
-        if c == ZERO:
-            return TensorElt(self.alg, {})
-        return TensorElt(self.alg, {k: v * c for k, v in self.terms.items()})
+    def _ctx(self) -> UAlgebra:
+        return self.alg
 
     def __mul__(self, other: "TensorElt") -> "TensorElt":
         out: dict = {}

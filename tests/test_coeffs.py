@@ -120,3 +120,88 @@ def test_parse_grammar():
     assert parse("-q^2 + 1") == ONE - qpow(2)
     with pytest.raises(ValueError):
         parse("3*z")
+
+
+# ---------------------------------------------------------------------------
+# property tests: sympy is the oracle for the field operations; both it and
+# hypothesis are optional, so these skip on a zero-dependency install
+
+
+def _strip(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _qrats(st):
+    """Values num/den * q^shift from small integer polynomials."""
+    coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+    @st.composite
+    def build(draw):
+        num = _strip(draw(coeffs))
+        den = _strip(draw(coeffs.filter(any)))
+        shift = draw(st.integers(-2, 2))
+        if shift > 0:
+            num = (0,) * shift + num if num else num
+        else:
+            den = (0,) * -shift + den
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+        return QRat.make(c, num, den)
+
+    return build()
+
+
+def _sympy_value(sympy, x):
+    q = sympy.Symbol("q")
+    num, den = x.monic_pair()
+
+    def poly(cs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * q**i for i, c in enumerate(cs))
+
+    return poly(num) / poly(den)
+
+
+def _sympy_monic_pair(sympy, expr):
+    """monic_pair() of the value sympy.cancel gives for expr."""
+    q = sympy.Symbol("q")
+    n, d = sympy.fraction(sympy.cancel(expr))
+    lc = sympy.Poly(d, q).LC()
+
+    def coeffs(p):
+        cs = reversed(sympy.Poly(p / lc, q).all_coeffs())
+        return _strip(Fraction(int(c.p), int(c.q)) for c in cs)
+
+    return coeffs(n), coeffs(d)
+
+
+def test_field_ops_match_sympy():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(_qrats(hyp.strategies), _qrats(hyp.strategies))
+    def check(x, y):
+        sx, sy = _sympy_value(sympy, x), _sympy_value(sympy, y)
+        assert (x * y).monic_pair() == _sympy_monic_pair(sympy, sx * sy)
+        assert (x + y).monic_pair() == _sympy_monic_pair(sympy, sx + sy)
+        if not x.is_zero():
+            assert x.inverse().monic_pair() == _sympy_monic_pair(sympy, 1 / sx)
+
+    check()
+
+
+def test_render_parse_and_unit_properties():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(_qrats(hyp.strategies))
+    def check(x):
+        assert parse(x.render()) == x
+        # the unit shortcut in the gcd must keep the canonical form
+        shape = (x.c, x.num, x.den)
+        assert ((x * ONE).c, (x * ONE).num, (x * ONE).den) == shape
+        assert ((ONE * x).c, (ONE * x).num, (ONE * x).den) == shape
+
+    check()
