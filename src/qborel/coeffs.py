@@ -249,7 +249,7 @@ class QRat:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.c == 1 and self.num == (1,) and self.den == (1,)
+        return self.num == (1,) and self.den == (1,) and self.c == 1
 
     # -- arithmetic --------------------------------------------------------
 
@@ -289,6 +289,10 @@ class QRat:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         g1 = _pgcd(self.num, other.den)
         g2 = _pgcd(other.num, self.den)
         num = _pmul(_pdiv_exact(self.num, g1), _pdiv_exact(other.num, g2))

@@ -3,13 +3,14 @@
 Words are tuples of simple-root indices (1-based).  The ideal is
 echelonized one weight component at a time, lazily, up to a height
 bound; the non-pivot words of each component form the canonical basis
-of the corresponding graded piece of U+.
+of the corresponding graded piece of U+.  A component is built from the
+components one letter below it, so building one builds the whole cone
+of weights below it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from itertools import permutations
 
 from ..coeffs import QRat, ONE, q_binomial
 from ..errors import BadIndex, HeightOverflow, InvalidPair
@@ -103,19 +104,6 @@ def serre_relation(rs: RootSystem, i: int, j: int) -> FreeElt:
     return FreeElt(out)
 
 
-@lru_cache(maxsize=None)
-def _words_of_weight(mu: Vec) -> tuple[Word, ...]:
-    """All words with the given letter multiplicities, ascending lex."""
-    if all(m == 0 for m in mu):
-        return ((),)
-    out = []
-    for i, m in enumerate(mu, start=1):
-        if m > 0:
-            rest = tuple(mu[k] - (1 if k == i - 1 else 0) for k in range(len(mu)))
-            out.extend((i,) + tail for tail in _words_of_weight(rest))
-    return tuple(out)
-
-
 def kostant_dim(rs: RootSystem, mu: Vec) -> int:
     """Number of ways to write mu as an N-combination of positive roots.
 
@@ -151,19 +139,14 @@ class _WeightComponent:
 
 
 class NFContext:
-    """Per-weight reduction data for the Serre ideal, built lazily."""
+    """Per-weight reduction data for the Serre ideal, built lazily; owns every component."""
 
     def __init__(self, rs: RootSystem, height_bound: int | None = None):
         self.rs = rs
         self.height_bound = 2 * rs.highest_height if height_bound is None else height_bound
         self._components: dict[Vec, _WeightComponent] = {}
-        self._serre: list[tuple[Vec, FreeElt]] = []
-        n = rs.rank
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    rel = serre_relation(rs, i, j)
-                    self._serre.append((word_weight(next(iter(rel.terms)), n), rel))
+        rels = [serre_relation(rs, i, j) for i, j in permutations(range(1, rs.rank + 1), 2)]
+        self._serre = [(word_weight(next(iter(r.terms)), rs.rank), r) for r in rels]
 
     def check_height(self, mu: Vec) -> None:
         if sum(mu) > self.height_bound:
@@ -180,21 +163,31 @@ class NFContext:
         return comp
 
     def _build_component(self, mu: Vec) -> _WeightComponent:
+        # I_mu = sum_i E_i I_(mu - alpha_i) + sum_rel rel C_(mu - wt rel): u rel v
+        # with u nonempty, and rel times an element of the ideal, lie in the first sum
+        if not any(mu):
+            return _WeightComponent({}, ((),))
         solver = SpanSolver()
+        below = []
+        for i in range(1, len(mu) + 1):
+            if mu[i - 1]:
+                lower = self.component(mu[: i - 1] + (mu[i - 1] - 1,) + mu[i:])
+                below.append((i, lower))
+                for p, rule in lower.rewrites.items():
+                    # i*rule - i*p spans what i*p - i*rule does
+                    row = {(i,) + k: c for k, c in rule.items()}
+                    row[(i,) + p] = -ONE
+                    solver.insert(row)
         for nu, rel in self._serre:
             gap = tuple(a - b for a, b in zip(mu, nu))
-            if any(c < 0 for c in gap):
-                continue
-            for left in product(*(range(g + 1) for g in gap)):
-                right = tuple(a - b for a, b in zip(gap, left))
-                for u in _words_of_weight(left):
-                    for v in _words_of_weight(right):
-                        vec = {u + w + v: c for w, c in rel.terms.items()}
-                        solver.insert(vec)
-        # the solver's rows are the rewrite rules of the pivot words
-        rewrites = solver.rows
-        complement = tuple(w for w in _words_of_weight(mu) if w not in rewrites)
-        return _WeightComponent(rewrites, complement)
+            if min(gap) >= 0:
+                for v in self.component(gap).complement:
+                    solver.insert({w + v: c for w, c in rel.terms.items()})
+        rewrites = solver.rows  # the rewrite rules of the pivot words
+        # a letter in front of a pivot gives a pivot, so the complement is the letters in
+        # front of the complements below, less the new pivots, in ascending lex order
+        words = ((i,) + c for i, lower in below for c in lower.complement)
+        return _WeightComponent(rewrites, tuple(w for w in words if w not in rewrites))
 
     def reduce_word(self, w: Word) -> dict[Word, QRat]:
         mu = word_weight(w, self.rs.rank)

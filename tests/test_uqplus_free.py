@@ -1,7 +1,14 @@
 """The free algebra on the E_i and reduction modulo the quantum Serre ideal."""
 
+import gc
+import os
+import tracemalloc
+from itertools import permutations, product
+from math import comb
+
 import pytest
 
+import qborel
 from qborel.coeffs import ONE, parse, q_integer, qpow
 from qborel.errors import BadIndex, HeightOverflow, InvalidPair
 from qborel.rootsys import build_root_system
@@ -12,8 +19,8 @@ from qborel.uqplus.free import (
     nf_plus,
     serre_relation,
     word_weight,
-    _words_of_weight,
 )
+from qborel.uqplus.linalg import SpanSolver
 
 A2 = build_root_system("A2")
 
@@ -92,7 +99,82 @@ def test_dims_match_kostant(label):
             if not 0 < a + b:
                 continue
             assert ctx.dim_plus(mu) == kostant_dim(rs, mu), mu
-            assert ctx.dim_plus(mu) + ctx.dim_ideal(mu) == len(_words_of_weight(mu))
+            assert ctx.dim_plus(mu) + ctx.dim_ideal(mu) == comb(a + b, a)
+
+
+def _oracle_words(mu, memo):
+    """Every word with letter multiplicities mu, ascending lex."""
+    if mu not in memo:
+        if not any(mu):
+            memo[mu] = ((),)
+        else:
+            memo[mu] = tuple(
+                (i,) + w
+                for i in range(1, len(mu) + 1)
+                if mu[i - 1]
+                for w in _oracle_words(mu[: i - 1] + (mu[i - 1] - 1,) + mu[i:], memo)
+            )
+    return memo[mu]
+
+
+def _oracle_component(rs, mu, memo):
+    """Echelon of every u*rel*v at weight mu, for all words u and v."""
+    n = rs.rank
+    solver = SpanSolver()
+    for i, j in permutations(range(1, n + 1), 2):
+        rel = serre_relation(rs, i, j)
+        gap = tuple(a - b for a, b in zip(mu, word_weight(next(iter(rel.terms)), n)))
+        if min(gap) < 0:
+            continue
+        for left in product(*(range(g + 1) for g in gap)):
+            right = tuple(a - b for a, b in zip(gap, left))
+            for u in _oracle_words(left, memo):
+                for v in _oracle_words(right, memo):
+                    solver.insert({u + w + v: c for w, c in rel.terms.items()})
+    complement = tuple(w for w in _oracle_words(mu, memo) if w not in solver.rows)
+    return solver.rows, complement
+
+
+@pytest.mark.parametrize("label,height", [("A2", 8), ("B2", 8), ("G2", 8), ("A3", 6)])
+def test_components_match_the_word_pair_oracle(label, height):
+    rs = build_root_system(label)
+    ctx = NFContext(rs, height)
+    memo = {}
+    for mu in product(range(height + 1), repeat=rs.rank):
+        if 0 < sum(mu) <= height:
+            rules, complement = _oracle_component(rs, mu, memo)
+            comp = ctx.component(mu)
+            assert comp.rewrites == rules, mu
+            assert comp.complement == complement, mu
+
+
+def test_kernel_pins_no_memory():
+    # only blocks that qborel's own code allocated count, so a gc callback
+    # that another test's library registered cannot move the figures
+    own = [tracemalloc.Filter(True, os.path.join(os.path.dirname(qborel.__file__), "*"))]
+    g2 = build_root_system("G2")
+
+    def pinned() -> int:
+        gc.collect()
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(own).traces)
+
+    def build():
+        ctx = NFContext(g2, 8)
+        for mu in product(range(9), repeat=2):
+            if sum(mu) <= 8:
+                ctx.dim_plus(mu)
+
+    tracemalloc.start()
+    try:
+        start = pinned()
+        build()
+        first = pinned()
+        build()
+        second = pinned()
+    finally:
+        tracemalloc.stop()
+    assert first - start < 16 * 1024
+    assert second <= first
 
 
 def test_kostant_examples():
