@@ -312,7 +312,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # verification suites
 
 
-def suite_strata(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Exhaustive stratification checks over the whole Weyl group."""
     closure_ok = True
     bij_ok = True
@@ -369,9 +369,9 @@ def suite_strata(rs: RootSystem, label: str, height: Optional[int] = None) -> li
     return checks
 
 
-def suite_ls(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_ls(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Straightening relations: support and weight constraints for all i<j."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     shape_ok = True
     weight_ok = True
     n_pairs = 0
@@ -411,9 +411,9 @@ def _suite_words(rs: RootSystem) -> list[ReducedWord]:
     return [ReducedWord(rs, canonical_word(_longest_element(rs)))]
 
 
-def suite_quotient(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_quotient(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """P_Theta quotients are commutative polynomial rings for admissible Theta."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     ok = True
     bad = ""
     n = 0
@@ -427,9 +427,9 @@ def suite_quotient(rs: RootSystem, label: str, height: Optional[int] = None) -> 
     return [Check(f"{label}: quotient by P_Theta is commutative polynomial ({scope})", ok, bad or f"{n} quotients")]
 
 
-def suite_enumerate(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_enumerate(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Blind search over all index subsets lands exactly on the admissible sets."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     ok = True
     bad = ""
     for word in _suite_words(rs):
@@ -445,9 +445,9 @@ def suite_enumerate(rs: RootSystem, label: str, height: Optional[int] = None) ->
     return [Check(f"{label}: enumerate_polynomial_ideals = T^w ({scope})", ok, bad)]
 
 
-def suite_characters(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_characters(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Symbolic characters extend exactly on the admissible subsets."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     dichotomy_ok = True
     orth_ok = True
     bad = ""
@@ -475,7 +475,7 @@ def suite_characters(rs: RootSystem, label: str, height: Optional[int] = None) -
     ]
 
 
-def suite_weyl(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_weyl(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Weyl group toolkit: descent test agreement and chain normalization."""
     rng = random.Random(20260814)
     group = weyl_group(rs)
@@ -574,9 +574,9 @@ def _rand_plus(alg: UAlgebra, rng: random.Random, hmax: int):
     return alg.from_free(FreeElt({wd: _rand_coeff(rng) for wd in comp}))
 
 
-def suite_hopf(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_hopf(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Coproduct laws, the psi flip and the twisted coideal subalgebras."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     rng = random.Random(20260814)
     coassoc_ok = True
     counit_ok = True
@@ -651,9 +651,9 @@ def _serre_image(alg: UAlgebra, a: int, i: int, j: int, kind: str, inverse: bool
     return out
 
 
-def suite_kernel(rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
+def suite_kernel(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Braid symmetries on the defining relations and the PBW dimensions."""
-    alg = UAlgebra(rs, height)
+    alg = alg or UAlgebra(rs)
     n = rs.rank
     rel_ok = True
     inv_ok = True
@@ -746,14 +746,14 @@ SUITES = {
 
 
 def run_suite(name: str, rs: RootSystem, label: str, height: Optional[int] = None) -> list[Check]:
-    if name == "all":
-        out: list[Check] = []
-        for key in SUITES:
-            out.extend(SUITES[key](rs, label, height))
-        return out
-    if name not in SUITES:
+    """Run one suite, or every suite in order, on one shared algebra."""
+    if name != "all" and name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    return SUITES[name](rs, label, height)
+    alg = UAlgebra(rs, height)
+    out: list[Check] = []
+    for key in SUITES if name == "all" else (name,):
+        out.extend(SUITES[key](rs, label, alg))
+    return out
 
 
 # ---------------------------------------------------------------------------

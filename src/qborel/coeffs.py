@@ -167,6 +167,11 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return _pprim(b)[0]
     if not b:
         return _pprim(a)[0]
+    # gcd(c q^k, b) = q^min(k, low(b)): the gcd is primitive, so c drops out
+    if not any(a[:-1]):
+        return (0,) * min(len(a) - 1, _low(b)) + (1,)
+    if not any(b[:-1]):
+        return (0,) * min(len(b) - 1, _low(a)) + (1,)
     a = _pprim(a)[0]
     b = _pprim(b)[0]
     while b:

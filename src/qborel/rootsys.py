@@ -26,9 +26,9 @@ highest root is 3*alpha_1 + 2*alpha_2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InvalidCartan, NotInPositiveCone
 
@@ -166,12 +166,20 @@ def _leading_minors_positive(b: list[list[int]]) -> bool:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable container for Cartan data and the positive roots."""
+    """Immutable container for Cartan data and the positive roots.
+
+    It also owns the Weyl data derived from them, so that data lives and
+    dies with the root system: the simple reflection matrices, and the
+    element list that ``weyl.weyl_group`` fills on its first call.
+    """
 
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     gram: tuple[tuple[int, ...], ...]
     pos_roots: tuple[Vec, ...]
+    _weyl_group: tuple | None = field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def rank(self) -> int:
@@ -189,6 +197,19 @@ class RootSystem:
             for j, x in enumerate(b):
                 total[j] += x
         return tuple(x / 2 for x in total)
+
+    @cached_property
+    def reflection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Matrix of s_i on simple root coordinates, at index i - 1.
+
+        s_i(alpha_j) = alpha_j - a_ij alpha_i: only row i differs from the identity.
+        """
+        n = self.rank
+        eye = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+        return tuple(
+            eye[:i] + (tuple(x - a for x, a in zip(eye[i], self.cartan[i])),) + eye[i + 1 :]
+            for i in range(n)
+        )
 
     @property
     def highest_height(self) -> int:
@@ -225,11 +246,6 @@ def _close_positive_roots(a: list[list[int]], n: int) -> tuple[Vec, ...]:
     return tuple(sorted(found, key=lambda b: (sum(b), b)))
 
 
-@lru_cache(maxsize=None)
-def _build_named(name: str) -> RootSystem:
-    return _build_from_matrix(tuple(tuple(r) for r in _named_cartan(name)))
-
-
 def _build_from_matrix(rows: tuple[tuple[int, ...], ...]) -> RootSystem:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -261,12 +277,12 @@ def build_root_system(spec) -> RootSystem:
 
     ``spec`` is either a name like "A2", "B3", "G2" or a square integer
     matrix (sequence of sequences).  Raises InvalidCartan when the input is
-    not a valid finite-type Cartan matrix.
+    not a valid finite-type Cartan matrix.  Every call builds a new object,
+    which owns its own derived caches.
     """
     if isinstance(spec, str):
-        return _build_named(spec)
-    rows = tuple(tuple(int(x) for x in r) for r in spec)
-    return _build_from_matrix(rows)
+        spec = _named_cartan(spec)
+    return _build_from_matrix(tuple(tuple(int(x) for x in r) for r in spec))
 
 
 def load_cartan_file(path: str) -> RootSystem:

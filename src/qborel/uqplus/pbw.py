@@ -136,14 +136,6 @@ def pbw_data(alg: UAlgebra, word: ReducedWord) -> _PBWData:
     return data
 
 
-def pbw_monomial(alg: UAlgebra, word: ReducedWord, a: Expt) -> FreeElt:
-    """Normal form of E_{beta_t}^{a_t} ... E_{beta_1}^{a_1}."""
-    data = pbw_data(alg, word)
-    if len(a) != len(word.letters) or any(e < 0 for e in a):
-        raise BadIndex(f"exponent tuple {a} does not fit the word")
-    return data.monomial(tuple(a))
-
-
 def pbw_expand(alg: UAlgebra, word: ReducedWord, x) -> PBWVec:
     """Coordinates of x over the PBW monomials of the word.
 
@@ -290,16 +282,6 @@ def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
 # polynomial quotients
 
 
-def is_in_P_Theta(word: ReducedWord, theta, x: PBWVec) -> bool:
-    """Support test: every nonzero term uses some factor outside theta.
-
-    For admissible theta this characterizes membership in the ideal
-    generated by the outside root vectors.
-    """
-    S = set(theta)
-    return not any(_theta_supported(a, S) for a in x.terms)
-
-
 class _IdealSpan:
     """Weight components of the two-sided ideal generated by the root
     vectors at the given outside positions, in PBW coordinates.
@@ -409,16 +391,9 @@ def enumerate_polynomial_ideals(alg: UAlgebra, word: ReducedWord) -> list[tuple[
     ring, each decided algebraically; no shortcut through the Weyl
     group combinatorics, so the result can cross-check it."""
     t = len(word.letters)
-    out = []
-    for size in range(t + 1):
-        for S in combinations(range(1, t + 1), size):
-            if not quotient_is_commutative_polynomial(alg, word, S):
-                continue
-            units = [
-                PBWVec(word, {tuple(1 if p == k else 0 for p in range(1, t + 1)): ONE})
-                for k in S
-            ]
-            if any(is_in_P_Theta(word, S, u) for u in units):
-                continue
-            out.append(S)
-    return out
+    return [
+        S
+        for size in range(t + 1)
+        for S in combinations(range(1, t + 1), size)
+        if quotient_is_commutative_polynomial(alg, word, S)
+    ]

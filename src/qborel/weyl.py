@@ -5,6 +5,10 @@ coordinates, together with the inverse matrix so that inversion sets and
 length computations never need matrix inversion.  Letters of words are
 1-based simple root indices.
 
+Nothing is cached at module level.  The simple reflection matrices and
+the list of group elements are kept on the RootSystem, and a ReducedWord
+computes its element and its roots once, when it is built.
+
 The module also implements the two pieces of chain surgery used by the
 classification combinatorics: a three-reflection rewriting step and the
 normalization that moves a non-orthogonal pair of reflections to the front
@@ -13,8 +17,7 @@ of a length-reducing chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .errors import (
     InternalContradiction,
@@ -117,18 +120,8 @@ def identity(rs: RootSystem) -> WeylElt:
     return WeylElt(rs, m, m)
 
 
-@lru_cache(maxsize=None)
-def _simple_matrix(rs: RootSystem, i: int) -> Matrix:
-    n = rs.rank
-    a = rs.cartan
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for c in range(n):
-        rows[i - 1][c] -= a[i - 1][c]
-    return tuple(tuple(r) for r in rows)
-
-
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    m = _simple_matrix(rs, i)
+    m = rs.reflection_matrices[i - 1]
     return WeylElt(rs, m, m)
 
 
@@ -162,41 +155,39 @@ def roots_of_word(rs: RootSystem, letters) -> tuple[Vec, ...]:
 
     Raises NotReduced when the word is not reduced.
     """
-    letters = tuple(letters)
-    prefix = identity(rs)
-    roots = []
-    for i in letters:
-        roots.append(prefix.act(rs.simple(i)))
-        prefix = prefix * simple_reflection(rs, i)
-    if prefix.length != len(letters):
-        raise NotReduced(f"word {letters} is not reduced")
-    return tuple(roots)
+    return ReducedWord(rs, tuple(letters)).roots
 
 
 @dataclass(frozen=True)
 class ReducedWord:
-    """A reduced word, validated at construction."""
+    """A reduced word, validated at construction.
+
+    ``element`` is the product s_{i_1} ... s_{i_t} and ``roots`` are the
+    beta_k of :func:`roots_of_word`; both come from one pass over the
+    letters.
+    """
 
     rs: RootSystem
     letters: tuple[int, ...]
+    element: WeylElt = field(init=False, compare=False, repr=False)
+    roots: tuple[Vec, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        rs = self.rs
+        prefix = identity(rs)
+        roots = []
         for i in self.letters:
-            if not 1 <= i <= self.rs.rank:
+            if not 1 <= i <= rs.rank:
                 raise NotReduced(f"letter {i} out of range")
-        if from_word(self.rs, self.letters).length != len(self.letters):
+            roots.append(prefix.act(rs.simple(i)))
+            prefix = prefix * simple_reflection(rs, i)
+        if prefix.length != len(self.letters):
             raise NotReduced(f"word {self.letters} is not reduced")
+        object.__setattr__(self, "element", prefix)
+        object.__setattr__(self, "roots", tuple(roots))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def element(self) -> WeylElt:
-        return from_word(self.rs, self.letters)
-
-    @property
-    def roots(self) -> tuple[Vec, ...]:
-        return roots_of_word(self.rs, self.letters)
 
 
 def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
@@ -230,9 +221,13 @@ def all_reduced_words(w: WeylElt) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
-    """All group elements, sorted by (length, canonical word)."""
+    """All group elements, sorted by (length, canonical word).
+
+    Built on the first call and kept on the root system.
+    """
+    if rs._weyl_group is not None:
+        return rs._weyl_group
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     seen = {identity(rs).mat: identity(rs)}
     frontier = [identity(rs)]
@@ -243,7 +238,9 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
             if nxt.mat not in seen:
                 seen[nxt.mat] = nxt
                 frontier.append(nxt)
-    return tuple(sorted(seen.values(), key=lambda w: (w.length, canonical_word(w))))
+    group = tuple(sorted(seen.values(), key=lambda w: (w.length, canonical_word(w))))
+    object.__setattr__(rs, "_weyl_group", group)
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import gc
 import hashlib
 import json
+import os
+import tracemalloc
 
 import pytest
 
+import qborel
+from qborel import cli
 from qborel.cli import main
 
 
@@ -175,7 +180,8 @@ def test_height_too_small_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
-# sha256 of stdout for one cheap invocation of each subcommand; output is
+# sha256 of stdout for one cheap invocation of each subcommand, and for
+# `verify --suite all`, whose suites share one algebra; output is
 # byte-stable, so a changed digest is a changed result or format
 FROZEN = {
     ("roots", "--type", "B2"):
@@ -190,6 +196,10 @@ FROZEN = {
         "d0864f5d26de5c0e18f664510bbe7e5817e28a8349e64771c1ab8dd06a55716c",
     ("verify", "--type", "A2", "--suite", "hopf", "--format", "json"):
         "f0fa93e4b196759d6e7dff03bb80a05dffb9a7821fceffab9f114d4b41923426",
+    ("verify", "--type", "A2", "--suite", "all"):
+        "c08d8963aab65533e5bd5bf32b5394dcaae21de8e4869a07e3a0fe6912cc71b3",
+    ("verify", "--type", "B2", "--suite", "all"):
+        "5ceb1b3f81d93e278b95ef23db8fe280ce58547c601b4dca28d5662370ee6e30",
 }
 
 
@@ -199,3 +209,36 @@ def test_output_frozen(capsys, argv):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN[argv]
+
+
+def test_verify_all_builds_one_algebra(capsys, monkeypatch):
+    built = []
+
+    class Counting(cli.UAlgebra):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "UAlgebra", Counting)
+    assert run(capsys, "verify", "--type", "A2", "--suite", "all")[0] == 0
+    assert len(built) == 1
+
+
+def test_repeated_verify_keeps_no_memory(capsys):
+    # only blocks allocated in qborel's own files count: test libraries may
+    # allocate in gc callbacks
+    own = [tracemalloc.Filter(True, os.path.join(os.path.dirname(qborel.__file__), "*"))]
+
+    def pinned() -> int:
+        gc.collect()
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(own).traces)
+
+    tracemalloc.start()
+    try:
+        start = pinned()
+        for _ in range(2):
+            assert run(capsys, "verify", "--type", "A2", "--suite", "all")[0] == 0
+        kept = pinned() - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024

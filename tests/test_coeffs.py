@@ -205,3 +205,42 @@ def test_render_parse_and_unit_properties():
         assert ((ONE * x).c, (ONE * x).num, (ONE * x).den) == shape
 
     check()
+
+
+def _prs_gcd(a, b):
+    """The primitive PRS loop of ``coeffs._pgcd``, with no shortcut."""
+    from qborel.coeffs import _pprim, _prem
+
+    a, b = _pprim(a)[0], _pprim(b)[0]
+    if not a or not b:
+        return a or b
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+        a, b = b, _pprim(_prem(a, b))[0]
+    return a
+
+
+def test_pgcd_matches_the_prs_loop_on_monomial_operands():
+    import random
+
+    from qborel.coeffs import _pgcd, _pmul
+
+    rng = random.Random(20261018)
+
+    def operand(common):
+        # content * q^k * (a monomial or a small polynomial) * common factor
+        core = (1,) if rng.random() < 0.5 else _strip(rng.randint(-4, 4) for _ in range(4)) or (1,)
+        shift = (0,) * rng.randint(0, 4) + (rng.choice((-1, 1)) * rng.randint(1, 12),)
+        return _pmul(_pmul(shift, core), common)
+
+    monomial_pairs = 0
+    for _ in range(3000):
+        common = (0,) * rng.randint(0, 2) + (rng.randint(1, 3),)
+        if rng.random() < 0.3:
+            common = _pmul(common, (rng.randint(-2, 2), 1))
+        a, b = operand(common), operand(common)
+        monomial_pairs += not any(a[:-1]) or not any(b[:-1])
+        assert _pgcd(a, b) == _prs_gcd(a, b), (a, b)
+        assert _pgcd(b, a) == _prs_gcd(a, b), (a, b)
+    assert monomial_pairs > 500

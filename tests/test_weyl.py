@@ -239,3 +239,25 @@ def test_normalize_needs_a_nonorthogonal_pair():
     validate_chain(w0, chain)
     with pytest.raises(NoNonorthogonalPair):
         normalize_reflection_sequence(w0, chain)
+
+
+def test_weyl_group_is_owned_by_its_root_system():
+    rs = build_root_system("B2")
+    group = weyl_group(rs)
+    assert weyl_group(rs) is group
+    other = build_root_system("B2")
+    assert other is not rs and other == rs
+    assert weyl_group(other) is not group
+    assert [g.mat for g in weyl_group(other)] == [g.mat for g in group]
+
+
+def test_reduced_word_stores_its_element_and_roots():
+    word = ReducedWord(B3, (1, 2, 3, 2))
+    assert word.element is word.element
+    assert word.roots is word.roots
+    assert word.element.mat == from_word(B3, word.letters).mat
+    # the stored fields take no part in equality or hashing
+    assert word == ReducedWord(B3, (1, 2, 3, 2))
+    assert len({word, ReducedWord(B3, (1, 2, 3, 2))}) == 1
+    with pytest.raises(NotReduced):
+        roots_of_word(A2, (1, 3))
