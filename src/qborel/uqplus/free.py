@@ -5,7 +5,10 @@ echelonized one weight component at a time, lazily, up to a height
 bound; the non-pivot words of each component form the canonical basis
 of the corresponding graded piece of U+.  A component is built from the
 components one letter below it, so building one builds the whole cone
-of weights below it.
+of weights below it.  Its echelon runs in the span of the letters put in
+front of the complement words below, which has Kostant size, and it
+stores the rules of its new pivots only: a word reduces one letter at a
+time, from its last letter to its first.
 """
 
 from __future__ import annotations
@@ -131,15 +134,24 @@ def kostant_dim(rs: RootSystem, mu: Vec) -> int:
 
 
 class _WeightComponent:
-    __slots__ = ("rewrites", "complement")
+    __slots__ = ("rewrites", "complement", "normal_forms")
 
     def __init__(self, rewrites, complement):
-        self.rewrites = rewrites      # pivot word -> dict(complement word -> QRat)
+        self.rewrites = rewrites      # new pivot word -> dict(complement word -> QRat)
         self.complement = complement  # non-pivot words, ascending lex
+        self.normal_forms = {}        # word -> its normal form, filled as words are reduced
 
 
 class NFContext:
-    """Per-weight reduction data for the Serre ideal, built lazily; owns every component."""
+    """Per-weight reduction data for the Serre ideal, built lazily; owns every component.
+
+    A letter in front of a pivot gives a pivot, so at weight mu only the
+    words S_mu = {(i,)+c : c in C_(mu-alpha_i)}, C the complement words
+    one letter below, can be new pivots.  A component stores the rules of
+    its new pivots alone, and a word (i,)+w' reduces as i put in front of
+    the normal form of w', then those rules.  The normal forms are kept
+    on the components, so they are freed with the context.
+    """
 
     def __init__(self, rs: RootSystem, height_bound: int | None = None):
         self.rs = rs
@@ -163,44 +175,56 @@ class NFContext:
         return comp
 
     def _build_component(self, mu: Vec) -> _WeightComponent:
-        # I_mu = sum_i E_i I_(mu - alpha_i) + sum_rel rel C_(mu - wt rel): u rel v
-        # with u nonempty, and rel times an element of the ideal, lie in the first sum
+        # I_mu = sum_i E_i I_(mu - alpha_i) + sum_rel rel C_(mu - wt rel).  Sending each
+        # word w to w[0] followed by the normal form of w[1:] kills the first sum and maps
+        # I_mu onto its part in span(S_mu), which the relations times C_gap then span
         if not any(mu):
             return _WeightComponent({}, ((),))
         solver = SpanSolver()
-        below = []
-        for i in range(1, len(mu) + 1):
-            if mu[i - 1]:
-                lower = self.component(mu[: i - 1] + (mu[i - 1] - 1,) + mu[i:])
-                below.append((i, lower))
-                for p, rule in lower.rewrites.items():
-                    # i*rule - i*p spans what i*p - i*rule does
-                    row = {(i,) + k: c for k, c in rule.items()}
-                    row[(i,) + p] = -ONE
-                    solver.insert(row)
         for nu, rel in self._serre:
             gap = tuple(a - b for a, b in zip(mu, nu))
             if min(gap) >= 0:
                 for v in self.component(gap).complement:
-                    solver.insert({w + v: c for w, c in rel.terms.items()})
-        rewrites = solver.rows  # the rewrite rules of the pivot words
-        # a letter in front of a pivot gives a pivot, so the complement is the letters in
-        # front of the complements below, less the new pivots, in ascending lex order
-        words = ((i,) + c for i, lower in below for c in lower.complement)
+                    row: dict[Word, QRat] = {}
+                    for w, c in rel.terms.items():
+                        add_scaled(row, self._lift(w + v), c)
+                    solver.insert(row)
+        rewrites = solver.rows  # the rewrite rules of the new pivot words
+        words = (
+            (i,) + c
+            for i in range(1, len(mu) + 1)
+            if mu[i - 1]
+            for c in self.component(mu[: i - 1] + (mu[i - 1] - 1,) + mu[i:]).complement
+        )
         return _WeightComponent(rewrites, tuple(w for w in words if w not in rewrites))
 
+    def _lift(self, w: Word) -> dict[Word, QRat]:
+        """w[0] followed by the normal form of w[1:]: a vector in span(S_mu)."""
+        head = w[:1]
+        return {head + k: c for k, c in self._normal_form(w[1:]).items()}
+
+    def _normal_form(self, w: Word) -> dict[Word, QRat]:
+        """The normal form of w as kept in its component: callers must not change it."""
+        comp = self.component(word_weight(w, self.rs.rank))
+        nf = comp.normal_forms.get(w)
+        if nf is None:
+            if not w:
+                nf = {w: ONE}
+            else:
+                # the rules hold no pivot, so one pass over the new pivots finishes
+                nf = self._lift(w)
+                for p in [k for k in nf if k in comp.rewrites]:
+                    add_scaled(nf, comp.rewrites[p], nf.pop(p))
+            comp.normal_forms[w] = nf
+        return nf
+
     def reduce_word(self, w: Word) -> dict[Word, QRat]:
-        mu = word_weight(w, self.rs.rank)
-        comp = self.component(mu)
-        rw = comp.rewrites.get(w)
-        if rw is None:
-            return {w: ONE}
-        return dict(rw)
+        return dict(self._normal_form(w))
 
     def reduce(self, x: FreeElt) -> FreeElt:
         out: dict[Word, QRat] = {}
         for w, c in x.terms.items():
-            add_scaled(out, self.reduce_word(w), c)
+            add_scaled(out, self._normal_form(w), c)
         return FreeElt(out)
 
     def complement_basis(self, mu: Vec) -> tuple[Word, ...]:
@@ -208,9 +232,6 @@ class NFContext:
 
     def dim_plus(self, mu: Vec) -> int:
         return len(self.component(mu).complement)
-
-    def dim_ideal(self, mu: Vec) -> int:
-        return len(self.component(mu).rewrites)
 
 
 def nf_plus(ctx: NFContext, x: FreeElt) -> FreeElt:

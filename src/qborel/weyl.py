@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadIndex,
     InternalContradiction,
     InvalidChain,
     NoNonorthogonalPair,
@@ -121,6 +122,8 @@ def identity(rs: RootSystem) -> WeylElt:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
+    if not 1 <= i <= rs.rank:
+        raise BadIndex(f"simple index {i} is not in 1..{rs.rank}")
     m = rs.reflection_matrices[i - 1]
     return WeylElt(rs, m, m)
 

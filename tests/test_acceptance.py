@@ -56,7 +56,7 @@ def test_02_a2_longest_element_strata():
 
 def test_03_ls_relation_shape():
     t0 = time.perf_counter()
-    checks = _run(suite_ls, RANK2)
+    checks = _run(suite_ls, RANK2 + ("A3",))
     elapsed = time.perf_counter() - t0
     _assert_all(checks)
     assert any(c.name == "A2: ls_relation(1,2) vanishes" for c in checks)
@@ -100,5 +100,5 @@ def test_08_hopf_twist_suite():
 
 
 def test_09_kernel_self_consistency():
-    checks = _run(suite_kernel, RANK2)
+    checks = _run(suite_kernel, RANK2 + ("A3",))
     _assert_all(checks)

@@ -4,7 +4,6 @@ import gc
 import os
 import tracemalloc
 from itertools import permutations, product
-from math import comb
 
 import pytest
 
@@ -99,7 +98,20 @@ def test_dims_match_kostant(label):
             if not 0 < a + b:
                 continue
             assert ctx.dim_plus(mu) == kostant_dim(rs, mu), mu
-            assert ctx.dim_plus(mu) + ctx.dim_ideal(mu) == comb(a + b, a)
+            # the stored pivots are the new ones: S_mu, the letters in front of
+            # the complement words below, splits into them and the complement
+            comp = ctx.component(mu)
+            s_mu = [
+                (i,) + c
+                for i, lower in ((1, (a - 1, b)), (2, (a, b - 1)))
+                if min(lower) >= 0
+                for c in ctx.complement_basis(lower)
+            ]
+            complement = set(comp.complement)
+            assert set(comp.rewrites) | complement == set(s_mu), mu
+            assert len(comp.rewrites) + len(complement) == len(s_mu), mu
+            for rule in comp.rewrites.values():
+                assert set(rule) <= complement, mu
 
 
 def _oracle_words(mu, memo):
@@ -143,9 +155,14 @@ def test_components_match_the_word_pair_oracle(label, height):
     for mu in product(range(height + 1), repeat=rs.rank):
         if 0 < sum(mu) <= height:
             rules, complement = _oracle_component(rs, mu, memo)
-            comp = ctx.component(mu)
-            assert comp.rewrites == rules, mu
-            assert comp.complement == complement, mu
+            assert ctx.complement_basis(mu) == complement, mu
+            for p, rule in rules.items():
+                got = ctx.reduce_word(p)
+                assert got == rule, (mu, p)
+                got.clear()  # a caller's change must not reach the context
+                assert ctx.reduce_word(p) == rule, (mu, p)
+            for c in complement:
+                assert ctx.reduce_word(c) == {c: ONE}, (mu, c)
 
 
 def test_kernel_pins_no_memory():

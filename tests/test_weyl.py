@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qborel.errors import InvalidChain, NoNonorthogonalPair, NotReduced
+from qborel.errors import BadIndex, InvalidChain, NoNonorthogonalPair, NotReduced
 from qborel.rootsys import bilinear, build_root_system
 from qborel.weyl import (
     ReducedWord,
@@ -38,6 +38,15 @@ def test_simple_reflections():
     assert s1.act((1, 0)) == (-1, 0)
     assert s1.act((0, 1)) == (1, 1)
     assert s1.act_inv((1, 1)) == (0, 1)
+
+
+@pytest.mark.parametrize("rs", [A2, B3], ids=["A2", "B3"])
+def test_letters_out_of_range_raise_bad_index(rs):
+    for i in (0, -1, rs.rank + 1):
+        with pytest.raises(BadIndex):
+            simple_reflection(rs, i)
+        with pytest.raises(BadIndex):
+            from_word(rs, (1, i))
 
 
 def test_group_orders():
