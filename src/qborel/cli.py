@@ -40,9 +40,11 @@ from .weyl import (
     all_reduced_words,
     bruhat_le,
     canonical_word,
+    identity,
     inversion_set,
     normalize_reflection_sequence,
     reflection_of_root,
+    simple_reflection,
     weyl_bruhat_equiv,
     weyl_group,
 )
@@ -53,6 +55,7 @@ from .strata import (
     enumerate_Tw,
     kappa,
     max_admissible_lattice,
+    stratum_of,
 )
 from .uqplus.free import FreeElt, kostant_dim, serre_relation
 from .uqplus.full import UAlgebra, lusztig_T
@@ -126,7 +129,14 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _longest_element(rs: RootSystem) -> WeylElt:
-    return weyl_group(rs)[-1]
+    """Climb from the identity by the smallest ascent until every letter is a descent."""
+    w = identity(rs)
+    while True:
+        descents = w.left_descents()
+        i = next((i for i in range(1, rs.rank + 1) if i not in descents), None)
+        if i is None:
+            return w
+        w = simple_reflection(rs, i) * w
 
 
 def _parse_word(rs: RootSystem, text: str) -> ReducedWord:
@@ -330,15 +340,15 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
                     for sub in combinations(th.indices, r):
                         if sub not in idx_sets:
                             closure_ok = False
-            images = {kappa(th).mat for th in thetas}
-            if len(images) != len(thetas):
+            ys = [kappa(th) for th in thetas]
+            if len({y.mat for y in ys}) != len(thetas):
                 bij_ok = False
-            for th1 in thetas:
-                for th2 in thetas:
-                    if set(th1.indices) <= set(th2.indices):
-                        if not bruhat_le(kappa(th2), kappa(th1)):
-                            bij_ok = False
-            for st in enumerate_strata(g, word):
+            sets = [set(th.indices) for th in thetas]
+            for set1, y1 in zip(sets, ys):
+                for set2, y2 in zip(sets, ys):
+                    if set1 <= set2 and not bruhat_le(y2, y1):
+                        bij_ok = False
+            for st in map(stratum_of, thetas):
                 if st.dim != g.length - st.y.length:
                     dims_ok = False
             if rs.rank == 2:

@@ -169,8 +169,10 @@ class RootSystem:
     """Immutable container for Cartan data and the positive roots.
 
     It also owns the Weyl data derived from them, so that data lives and
-    dies with the root system: the simple reflection matrices, and the
-    element list that ``weyl.weyl_group`` fills on its first call.
+    dies with the root system: the simple reflection matrices, the table
+    of the reflection matrix of every root (which ``weyl.reflection_of_root``
+    looks up), and the element list that ``weyl.weyl_group`` fills on its
+    first call.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -190,13 +192,14 @@ class RootSystem:
         return frozenset(self.pos_roots)
 
     @cached_property
+    def two_rho(self) -> Vec:
+        """The sum of the positive roots, in simple root coordinates."""
+        return tuple(map(sum, zip(*self.pos_roots)))
+
+    @cached_property
     def rho(self) -> tuple[Fraction, ...]:
         """Half the sum of the positive roots, in simple root coordinates."""
-        total = [Fraction(0)] * self.rank
-        for b in self.pos_roots:
-            for j, x in enumerate(b):
-                total[j] += x
-        return tuple(x / 2 for x in total)
+        return tuple(Fraction(x, 2) for x in self.two_rho)
 
     @cached_property
     def reflection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -210,6 +213,24 @@ class RootSystem:
             eye[:i] + (tuple(x - a for x, a in zip(eye[i], self.cartan[i])),) + eye[i + 1 :]
             for i in range(n)
         )
+
+    @cached_property
+    def root_reflections(self) -> dict[Vec, tuple[tuple[int, ...], ...]]:
+        """Matrix of s_beta on simple root coordinates, keyed by every root +-beta.
+
+        s_beta(alpha_j) = alpha_j - (2 (beta, alpha_j) / (beta, beta)) beta,
+        and s_beta = s_(-beta).
+        """
+        n = self.rank
+        table = {}
+        for beta in self.pos_roots:
+            bb = bilinear(self, beta, beta)
+            coef = [2 * bilinear(self, beta, self.simple(j + 1)) // bb for j in range(n)]
+            m = tuple(
+                tuple(int(r == j) - coef[j] * beta[r] for j in range(n)) for r in range(n)
+            )
+            table[beta] = table[vec_neg(beta)] = m
+        return table
 
     @property
     def highest_height(self) -> int:

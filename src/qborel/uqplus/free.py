@@ -157,7 +157,12 @@ class NFContext:
         self.rs = rs
         self.height_bound = 2 * rs.highest_height if height_bound is None else height_bound
         self._components: dict[Vec, _WeightComponent] = {}
-        rels = [serre_relation(rs, i, j) for i, j in permutations(range(1, rs.rank + 1), 2)]
+        # for a_ij = 0 the (j, i) relation is minus the (i, j) one, so keep i < j only
+        rels = [
+            serre_relation(rs, i, j)
+            for i, j in permutations(range(1, rs.rank + 1), 2)
+            if i < j or rs.cartan[i - 1][j - 1]
+        ]
         self._serre = [(word_weight(next(iter(r.terms)), rs.rank), r) for r in rels]
 
     def check_height(self, mu: Vec) -> None:

@@ -5,9 +5,11 @@ coordinates, together with the inverse matrix so that inversion sets and
 length computations never need matrix inversion.  Letters of words are
 1-based simple root indices.
 
-Nothing is cached at module level.  The simple reflection matrices and
-the list of group elements are kept on the RootSystem, and a ReducedWord
-computes its element and its roots once, when it is built.
+Nothing is cached at module level.  The RootSystem keeps the simple
+reflection matrices, the reflection matrix of every root and the list of
+group elements.  An element computes the heights of w^{-1}(alpha_j), which
+give its left descents and its length, once, on first use, and keeps them.
+A ReducedWord computes its element and its roots once, when it is built.
 
 The module also implements the two pieces of chain surgery used by the
 classification combinatorics: a three-reflection rewriting step and the
@@ -18,6 +20,8 @@ of a length-reducing chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 from .errors import (
     BadIndex,
@@ -50,10 +54,8 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _ident(n: int) -> Matrix:
@@ -65,7 +67,9 @@ class WeylElt:
     """Group element as a pair of mutually inverse integer matrices.
 
     ``mat`` sends simple root coordinates of v to those of w(v); column j
-    holds the image of the j-th simple root.
+    holds the image of the j-th simple root.  The heights of the roots
+    w^{-1}(alpha_j) and the length are computed on first use and kept on
+    the element.
     """
 
     rs: RootSystem
@@ -87,28 +91,31 @@ class WeylElt:
     def inverse(self) -> "WeylElt":
         return WeylElt(self.rs, self.inv, self.mat)
 
+    @cached_property
+    def _heights(self) -> tuple[int, ...]:
+        """ht(w^{-1}(alpha_j)) for each j: the column sums of ``inv``."""
+        return tuple(map(sum, zip(*self.inv)))
+
     @property
     def is_identity(self) -> bool:
-        return self.mat == _ident(self.rs.rank)
+        return not any(h < 0 for h in self._heights)
 
-    @property
+    @cached_property
     def length(self) -> int:
-        """Number of positive roots sent to negative roots by the inverse."""
-        n = 0
-        for beta in self.rs.pos_roots:
-            img = self.act_inv(beta)
-            if all(x <= 0 for x in img):
-                n += 1
-        return n
+        """Number of positive roots sent to negative roots by the inverse.
+
+        A root is negative exactly when its height is, and the height of
+        w^{-1}(beta) is sum_j beta_j ht(w^{-1}(alpha_j)).
+        """
+        hts = self._heights
+        return sum(1 for beta in self.rs.pos_roots if sum(map(mul, beta, hts)) < 0)
 
     def left_descents(self) -> list[int]:
-        """Simple indices i with length(s_i * w) < length(w), ascending."""
-        out = []
-        for i in range(1, self.rs.rank + 1):
-            img = self.act_inv(self.rs.simple(i))
-            if all(x <= 0 for x in img):
-                out.append(i)
-        return out
+        """Simple indices i with length(s_i * w) < length(w), ascending.
+
+        i is a left descent exactly when w^{-1}(alpha_i) is a negative root.
+        """
+        return [j + 1 for j, h in enumerate(self._heights) if h < 0]
 
     def __repr__(self) -> str:
         if self.is_identity:
@@ -137,15 +144,9 @@ def from_word(rs: RootSystem, letters) -> WeylElt:
 
 def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
     """The reflection in the hyperplane of a (positive or negative) root."""
-    if not rs.is_root(beta):
+    m = rs.root_reflections.get(beta)
+    if m is None:
         raise ValueError(f"{beta} is not a root")
-    bb = bilinear(rs, beta, beta)
-    n = rs.rank
-    cols = []
-    for j in range(n):
-        coef = 2 * bilinear(rs, beta, rs.simple(j + 1)) // bb
-        cols.append(tuple((1 if r == j else 0) - coef * beta[r] for r in range(n)))
-    m = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
     return WeylElt(rs, m, m)
 
 
@@ -275,7 +276,7 @@ def weyl_bruhat_equiv(u: WeylElt, beta: Vec) -> tuple[bool, bool, bool]:
     Returns the truth values of
       (1) length(s_beta * u) < length(u),
       (2) u^{-1}(beta) is a negative root,
-      (3) (beta, u(rho)) < 0.
+      (3) (beta, u(rho)) < 0, evaluated on the integer vector 2 rho.
     The three agree for every u and every positive root; tests enforce it.
     """
     rs = u.rs
@@ -283,7 +284,7 @@ def weyl_bruhat_equiv(u: WeylElt, beta: Vec) -> tuple[bool, bool, bool]:
         raise ValueError(f"{beta} is not a positive root")
     c1 = (reflection_of_root(rs, beta) * u).length < u.length
     c2 = all(x <= 0 for x in u.act_inv(beta))
-    c3 = bilinear(rs, beta, u.act(rs.rho)) < 0
+    c3 = bilinear(rs, beta, u.act(rs.two_rho)) < 0
     return c1, c2, c3
 
 

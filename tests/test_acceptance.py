@@ -102,3 +102,16 @@ def test_08_hopf_twist_suite():
 def test_09_kernel_self_consistency():
     checks = _run(suite_kernel, RANK2 + ("A3",))
     _assert_all(checks)
+
+
+def test_10_rank3_strata_and_rank4_weyl():
+    t0 = time.perf_counter()
+    checks = _run(suite_strata, ("B3", "C3")) + _run(suite_weyl, ("D4", "B4", "F4"))
+    elapsed = time.perf_counter() - t0
+    _assert_all(checks)
+    for label in ("B3", "C3"):
+        assert any(c.name.startswith(f"{label}: kappa is an order-reversing") for c in checks)
+    for label in ("D4", "B4", "F4"):
+        assert any("normalize_reflection_sequence" in c.name and c.name.startswith(label) for c in checks)
+    # every reduced word of every B3 and C3 element; 1000 random descent cases per rank-4 type
+    assert elapsed < 15.0, f"{elapsed:.1f}s"

@@ -11,6 +11,7 @@ import pytest
 import qborel
 from qborel import cli
 from qborel.cli import main
+from qborel.weyl import weyl_group
 
 
 def run(capsys, *argv):
@@ -131,6 +132,14 @@ def test_strata_default_word(capsys):
     doc = json.loads(out)
     assert len(doc["entries"]) == 1
     assert len(doc["entries"][0]["strata"]) == 3
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_longest_element_matches_the_group_enumeration(label):
+    rs = qborel.build_root_system(label)
+    w0 = cli._longest_element(rs)
+    assert w0.mat == weyl_group(rs)[-1].mat
+    assert w0.inv == weyl_group(rs)[-1].inv
 
 
 def test_deterministic_output(capsys):

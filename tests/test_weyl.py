@@ -1,6 +1,7 @@
 """Weyl group elements, reduced words, Bruhat order, chain surgery."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -29,6 +30,8 @@ B2 = build_root_system("B2")
 G2 = build_root_system("G2")
 A3 = build_root_system("A3")
 B3 = build_root_system("B3")
+
+DIFF_TYPES = ("A3", "B3", "C3", "G2", "D4", "F4")
 
 
 def test_simple_reflections():
@@ -270,3 +273,60 @@ def test_reduced_word_stores_its_element_and_roots():
     assert len({word, ReducedWord(B3, (1, 2, 3, 2))}) == 1
     with pytest.raises(NotReduced):
         roots_of_word(A2, (1, 3))
+
+
+def _act_inv_length(w):
+    return sum(1 for beta in w.rs.pos_roots if all(x <= 0 for x in w.act_inv(beta)))
+
+
+def _act_inv_descents(w):
+    n = w.rs.rank
+    return [i for i in range(1, n + 1) if all(x <= 0 for x in w.act_inv(w.rs.simple(i)))]
+
+
+def _matrix_is_identity(w):
+    n = w.rs.rank
+    return w.mat == tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def _cartan_reflection(rs, beta):
+    bb = bilinear(rs, beta, beta)
+    n = rs.rank
+    cols = []
+    for j in range(n):
+        coef = 2 * bilinear(rs, beta, rs.simple(j + 1)) // bb
+        cols.append(tuple(int(r == j) - coef * beta[r] for r in range(n)))
+    return tuple(zip(*cols))
+
+
+@pytest.mark.parametrize("label", DIFF_TYPES)
+def test_fast_weyl_paths_match_the_direct_definitions(label):
+    rs = build_root_system(label)
+    # s_i s_j has left descent i and right descent j: checked before weyl_group
+    # and without repr(w), as both find a canonical word through left_descents
+    for letters in permutations(range(1, rs.rank + 1), 2):
+        w = from_word(rs, letters)
+        fast, direct = w.left_descents(), _act_inv_descents(w)
+        assert fast == direct, letters
+    for w in weyl_group(rs):
+        assert w.length == _act_inv_length(w)
+        assert w.length == len(inversion_set(w)) == len(canonical_word(w))
+        assert w.left_descents() == _act_inv_descents(w)
+        assert w.is_identity == _matrix_is_identity(w)
+    for beta in rs.pos_roots:
+        for root in (beta, tuple(-c for c in beta)):
+            assert reflection_of_root(rs, root).mat == _cartan_reflection(rs, beta)
+    zero = (0,) * rs.rank
+    for v in (zero, (2,) + zero[1:], (1, -1) + zero[2:], zero + (1,)):
+        with pytest.raises(ValueError):
+            reflection_of_root(rs, v)
+
+
+def test_reflection_table_is_owned_by_its_root_system():
+    rs = build_root_system("B3")
+    table = rs.root_reflections
+    assert rs.root_reflections is table
+    assert len(table) == 2 * len(rs.pos_roots)
+    other = build_root_system("B3")
+    assert other.root_reflections is not table
+    assert other.root_reflections == table
