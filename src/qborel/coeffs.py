@@ -16,6 +16,30 @@ The classical presentation "reduced fraction with monic denominator over Q"
 is exposed through :meth:`QRat.monic_pair`; the two normal forms are in
 bijection, so structural equality is unaffected by the internal layout.
 
+Each canonical form divides once: ``_gcd_cofactors(a, b)`` returns the
+gcd g together with the cofactors a/g and b/g, by the first of three
+paths that applies.
+
+* A unit or q-power operand has a closed form: for primitive b,
+  gcd(q^k, b) = q^min(k, low(b)), and the cofactors are the operands
+  shifted down by that power.
+* The heuristic gcd of Char, Geddes and Gonnet (J. Symb. Comput. 1989)
+  evaluates both operands at an integer xi > 2M + 2, with M the smaller
+  of their max norms, takes the integer gcd of the two values and reads a
+  candidate h from its balanced base-xi digits.  If the primitive part p
+  of h divides both operands, it is the gcd.  For p divides g = gcd(a, b),
+  say g = p k; g(xi) divides the integer gcd h(xi) = cont(h) p(xi), so
+  k(xi) divides cont(h) <= xi/2.  A nonconstant k has its roots among
+  those of a and of b, of modulus below 1 + M (Cauchy), so
+  |k(xi)| > xi - 1 - M > xi/2.  Hence k = 1: the exact division is the
+  certificate, and its quotients are the cofactors.  A candidate that
+  fails it grows xi.
+* After six failed candidates the primitive remainder sequence gives g,
+  and two exact divisions give the cofactors.
+
+The gcd is primitive with positive leading coefficient, hence unique, so
+the canonical form does not depend on the path that found it.
+
 The module also provides the balanced q-integers
 
     [n]_d = (q^(d*n) - q^(-d*n)) / (q^d - q^(-d))
@@ -120,26 +144,26 @@ def _pprim(a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in a), g
 
 
-def _pdiv_exact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # exact division, used only when divisibility is known
-    if not a:
-        return ()
+def _pquo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The quotient a/b if b divides a exactly over Z, else None."""
     if b == (1,):
         return a
-    rem = list(a)
     db, lb = len(b) - 1, b[-1]
-    out = [0] * (len(a) - len(b) + 1)
+    if len(a) <= db:
+        return None if a else ()
+    rem = list(a)
+    out = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         if rem[i]:
             c, r = divmod(rem[i], lb)
             if r:
-                raise ArithmeticError("inexact polynomial division")
+                return None
             out[i - db] = c
             for j in range(db + 1):
                 rem[i - db + j] -= c * b[j]
     if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _pnorm(out)
+        return None
+    return tuple(out)
 
 
 def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -159,27 +183,74 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _pnorm(rem)
 
 
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Gcd of integer polynomials, primitive with positive leading coeff."""
+def _gcd_cofactors(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(g, a/g, b/g) with g = gcd(a, b), for nonzero primitive a, b.
+
+    a and b must have positive leading coefficients; then so do g and
+    both cofactors, and all three are primitive.
+    """
     if a == (1,) or b == (1,):
-        return (1,)
-    if not a:
-        return _pprim(b)[0]
-    if not b:
-        return _pprim(a)[0]
-    # gcd(c q^k, b) = q^min(k, low(b)): the gcd is primitive, so c drops out
-    if not any(a[:-1]):
-        return (0,) * min(len(a) - 1, _low(b)) + (1,)
-    if not any(b[:-1]):
-        return (0,) * min(len(b) - 1, _low(a)) + (1,)
-    a = _pprim(a)[0]
-    b = _pprim(b)[0]
+        return (1,), a, b
+    # a q-power operand: for primitive b, gcd(q^k, b) = q^min(k, low(b))
+    if not any(a[:-1]) or not any(b[:-1]):
+        k = min(_low(a), _low(b))
+        if not k:
+            return (1,), a, b
+        return (0,) * k + (1,), a[k:], b[k:]
+    # heuristic gcd (Char, Geddes and Gonnet, J. Symb. Comput. 1989)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = _balanced_digits(gcd(_peval(a, xi), _peval(b, xi)), xi)
+        h = _pprim(h)[0]
+        if h == (1,):
+            return h, a, b
+        qa = _pquo(a, h)
+        if qa is not None:
+            qb = _pquo(b, h)
+            if qb is not None:
+                return h, qa, qb
+        xi = xi * 73794 // 27011
+    g = _pgcd_prs(a, b)
+    return g, _pquo(a, g), _pquo(b, g)
+
+
+def _peval(a: tuple[int, ...], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _balanced_digits(n: int, xi: int) -> tuple[int, ...]:
+    # n = sum h_i xi^i with |h_i| <= xi/2, lowest digit first
+    half = xi // 2
+    out = []
+    while n:
+        r = n % xi
+        if r > half:
+            r -= xi
+        out.append(r)
+        n = (n - r) // xi
+    return tuple(out)
+
+
+def _pgcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # the primitive polynomial remainder sequence, for nonzero primitive a, b
     while b:
         if len(a) < len(b):
             a, b = b, a
         r = _prem(a, b)
         a, b = b, _pprim(r)[0]
     return a
+
+
+def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Gcd of integer polynomials, primitive with positive leading coeff."""
+    if not a or not b:
+        return _pprim(a or b)[0]
+    return _gcd_cofactors(_pprim(a)[0], _pprim(b)[0])[0]
 
 
 def _low(a: tuple[int, ...]) -> int:
@@ -231,21 +302,11 @@ class QRat:
             raise DivisionByZero("zero denominator in Q(q)")
         if not num or c == 0:
             return ZERO
-        # strip common q-powers cheaply before running the gcd
-        ln, ld = _low(num), _low(den)
-        k = min(ln, ld)
-        if k:
-            num = num[k:]
-            den = den[k:]
         num, cn = _pprim(num)
         den, cd = _pprim(den)
-        g = _pgcd(num, den)
-        if g != (1,):
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        c = c * Fraction(cn, cd)
-        if c == 0:
-            return ZERO
+        _, num, den = _gcd_cofactors(num, den)
+        if cn != 1 or cd != 1:
+            c = c * Fraction(cn, cd)
         return QRat(c, num, den)
 
     # -- predicates --------------------------------------------------------
@@ -271,15 +332,21 @@ class QRat:
         ib = cb.numerator * (l // cb.denominator)
         if self.den == other.den:
             num = _padd(_pscale(self.num, ia), _pscale(other.num, ib))
-            return QRat.make(Fraction(1, l), num, self.den)
-        g = _pgcd(self.den, other.den)
-        db = _pdiv_exact(other.den, g)
-        da = _pdiv_exact(self.den, g)
-        num = _padd(
-            _pscale(_pmul(self.num, db), ia),
-            _pscale(_pmul(other.num, da), ib),
-        )
-        return QRat.make(Fraction(1, l), num, _pmul(self.den, db))
+            den = self.den
+        else:
+            _, da, db = _gcd_cofactors(self.den, other.den)
+            num = _padd(
+                _pscale(_pmul(self.num, db), ia),
+                _pscale(_pmul(other.num, da), ib),
+            )
+            den = _pmul(self.den, db)
+        if not num:
+            return ZERO
+        # den is a product of primitive positive-leading factors, so only
+        # num needs its content split off
+        num, cn = _pprim(num)
+        _, num, den = _gcd_cofactors(num, den)
+        return QRat(Fraction(cn, l), num, den)
 
     def __neg__(self) -> "QRat":
         if not self.num:
@@ -298,10 +365,10 @@ class QRat:
             return other
         if other.is_one():
             return self
-        g1 = _pgcd(self.num, other.den)
-        g2 = _pgcd(other.num, self.den)
-        num = _pmul(_pdiv_exact(self.num, g1), _pdiv_exact(other.num, g2))
-        den = _pmul(_pdiv_exact(self.den, g2), _pdiv_exact(other.den, g1))
+        _, n1, d2 = _gcd_cofactors(self.num, other.den)
+        _, n2, d1 = _gcd_cofactors(other.num, self.den)
+        num = _pmul(n1, n2)
+        den = _pmul(d1, d2)
         return QRat(self.c * other.c, num, den)
 
     def inverse(self) -> "QRat":
@@ -336,9 +403,9 @@ class QRat:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QRat)
-            and self.c == other.c
             and self.num == other.num
             and self.den == other.den
+            and self.c == other.c
         )
 
     def __hash__(self) -> int:

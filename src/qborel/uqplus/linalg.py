@@ -21,7 +21,7 @@ def add_term(dst: dict, key, c: QRat) -> None:
     """dst[key] += c, dropping an exact zero."""
     cur = dst.get(key)
     nxt = c if cur is None else cur + c
-    if nxt == ZERO:
+    if nxt.is_zero():
         dst.pop(key, None)
     else:
         dst[key] = nxt
@@ -33,12 +33,12 @@ def add_scaled(dst: dict, src: dict, c: QRat) -> None:
     The loop is add_term written out: this is the inner loop of
     SpanSolver.reduce, and a call per term costs there.
     """
-    if c == ZERO:
+    if c.is_zero():
         return
     for k, val in src.items():
         cur = dst.get(k)
         nxt = val * c if cur is None else cur + val * c
-        if nxt == ZERO:
+        if nxt.is_zero():
             dst.pop(k, None)
         else:
             dst[k] = nxt
@@ -56,7 +56,7 @@ class TermMap:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if c != ZERO}
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     def _new(self, terms: dict):
         raise NotImplementedError

@@ -18,6 +18,7 @@ from qborel.cli import (
     suite_weyl,
 )
 from qborel.rootsys import build_root_system
+from qborel.uqplus.full import UAlgebra
 
 RANK2 = ("A2", "B2", "G2")
 
@@ -115,3 +116,18 @@ def test_10_rank3_strata_and_rank4_weyl():
         assert any("normalize_reflection_sequence" in c.name and c.name.startswith(label) for c in checks)
     # every reduced word of every B3 and C3 element; 1000 random descent cases per rank-4 type
     assert elapsed < 15.0, f"{elapsed:.1f}s"
+
+
+def test_11_rank3_w0_suites():
+    t0 = time.perf_counter()
+    checks = []
+    for label in ("A3", "B3", "C3"):
+        rs = build_root_system(label)
+        alg = UAlgebra(rs)  # one algebra per type, as `qborel verify` builds
+        for suite in (suite_characters, suite_quotient, suite_enumerate, suite_ls):
+            checks.extend(suite(rs, label, alg))
+    elapsed = time.perf_counter() - t0
+    _assert_all(checks)
+    for label in ("A3", "B3", "C3"):
+        assert any(c.name.startswith(label) and "ls_relation" in c.name for c in checks)
+    assert elapsed < 40.0, f"{elapsed:.1f}s"

@@ -244,3 +244,146 @@ def test_pgcd_matches_the_prs_loop_on_monomial_operands():
         assert _pgcd(a, b) == _prs_gcd(a, b), (a, b)
         assert _pgcd(b, a) == _prs_gcd(a, b), (a, b)
     assert monomial_pairs > 500
+
+
+# the cyclotomic polynomials Phi_1 .. Phi_12, lowest degree first: the
+# factors of the denominators the kernel meets (q-integers, q-factorials)
+_CYCLOTOMIC = (
+    (-1, 1),
+    (1, 1),
+    (1, 1, 1),
+    (1, 0, 1),
+    (1, 1, 1, 1, 1),
+    (1, -1, 1),
+    (1, 1, 1, 1, 1, 1, 1),
+    (1, 0, 0, 0, 1),
+    (1, 0, 0, 1, 0, 0, 1),
+    (1, -1, 1, -1, 1),
+    (1,) * 11,
+    (1, 0, -1, 0, 1),
+)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _primitive(a):
+    from math import gcd
+
+    g = 0
+    for x in a:
+        g = gcd(g, x)
+    if a[-1] < 0:
+        g = -g
+    return tuple(x // g for x in a)
+
+
+def _cyclotomic_pairs(seed, count):
+    """Primitive pairs a = common * x, b = common * y, degree up to ~40.
+
+    common, x and y are products of random cyclotomic factors, a random
+    q-power and a random small core, so the gcd is often nontrivial.
+    """
+    import random
+
+    rng = random.Random(seed)
+
+    def factors(k):
+        out = (1,)
+        for _ in range(rng.randint(0, k)):
+            out = _mul(out, rng.choice(_CYCLOTOMIC))
+        return out
+
+    def core():
+        c = _strip(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+        return c or (1,)
+
+    pairs = []
+    while len(pairs) < count:
+        common = _mul(factors(4), (0,) * rng.randint(0, 2) + (1,))
+        a = _mul(_mul(common, factors(4)), core())
+        b = _mul(_mul(common, factors(4)), core())
+        b = _mul(b, (0,) * rng.randint(0, 3) + (1,))
+        if len(a) <= 41 and len(b) <= 41:
+            pairs.append((_primitive(a), _primitive(b)))
+    return pairs
+
+
+def test_gcd_cofactors_match_the_prs_loop_on_cyclotomic_products(monkeypatch):
+    from qborel import coeffs
+
+    fallbacks = []
+    prs = coeffs._pgcd_prs
+    monkeypatch.setattr(coeffs, "_pgcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
+
+    nontrivial = 0
+    for a, b in _cyclotomic_pairs(20261018, 2000):
+        want = _prs_gcd(a, b)
+        nontrivial += want != (1,)
+        for x, y in ((a, b), (b, a)):
+            g, gx, gy = coeffs._gcd_cofactors(x, y)
+            assert g == want, (x, y)
+            assert _mul(g, gx) == x and _mul(g, gy) == y, (x, y)
+        assert coeffs._pgcd(a, b) == want
+    assert nontrivial > 1000
+    # on these pairs the heuristic gcd always certifies a candidate
+    assert not fallbacks
+
+
+def test_gcd_cofactors_match_sympy_on_cyclotomic_products():
+    sympy = pytest.importorskip("sympy")
+    from qborel.coeffs import _gcd_cofactors
+
+    q = sympy.Symbol("q")
+    for a, b in _cyclotomic_pairs(7, 200):
+        want = sympy.Poly(list(reversed(a)), q).gcd(sympy.Poly(list(reversed(b)), q))
+        want = tuple(int(c) for c in reversed(want.all_coeffs()))
+        assert _gcd_cofactors(a, b)[0] == want, (a, b)
+        assert _gcd_cofactors(b, a)[0] == want, (a, b)
+
+
+def test_gcd_cofactors_closed_forms():
+    from qborel.coeffs import _gcd_cofactors
+
+    a = (3, 0, 2)
+    assert _gcd_cofactors((1,), a) == ((1,), (1,), a)
+    assert _gcd_cofactors(a, (1,)) == ((1,), a, (1,))
+    # gcd(q^3, q^2 (3 + 2 q^2)) = q^2
+    assert _gcd_cofactors((0, 0, 0, 1), (0, 0) + a) == ((0, 0, 1), (0, 1), a)
+    assert _gcd_cofactors((0, 0) + a, (0, 0, 0, 1)) == ((0, 0, 1), a, (0, 1))
+    assert _gcd_cofactors((0, 1), a) == ((1,), (0, 1), a)
+
+
+def test_gcd_cofactors_rejects_a_candidate_that_does_not_divide():
+    from qborel.coeffs import _gcd_cofactors
+
+    # xi starts at 2 * min(1, 33) + 29 = 31, where a(31) = 32 and
+    # b(31) = 64: the first candidate is q + 1, which does not divide b
+    a, b = (1, 1), (33, 1)
+    assert _gcd_cofactors(a, b) == ((1,), a, b)
+    assert _gcd_cofactors(b, a) == ((1,), b, a)
+
+
+def test_gcd_cofactors_prs_fallback(monkeypatch):
+    from qborel import coeffs
+
+    # a candidate of degree 199 divides no operand, so every heuristic
+    # try fails and the PRS loop must give the gcd
+    monkeypatch.setattr(coeffs, "_balanced_digits", lambda n, xi: (1,) * 200)
+    fallbacks = []
+    prs = coeffs._pgcd_prs
+    monkeypatch.setattr(coeffs, "_pgcd_prs", lambda a, b: fallbacks.append(1) or prs(a, b))
+
+    pairs = _cyclotomic_pairs(11, 200)
+    for a, b in pairs:
+        g, ga, gb = coeffs._gcd_cofactors(a, b)
+        assert g == _prs_gcd(a, b), (a, b)
+        assert _mul(g, ga) == a and _mul(g, gb) == b, (a, b)
+    assert len(fallbacks) > 100
+    x = parse("(q^2 - 1)/(q^3 + 1)")
+    assert x.render() == "(q - 1)/(q^2 - q + 1)"
