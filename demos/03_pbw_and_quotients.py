@@ -16,7 +16,7 @@ from qborel.uqplus.pbw import (
     pbw_expand,
     quotient_is_commutative_polynomial,
 )
-from qborel.weyl import ReducedWord, from_word
+from qborel.weyl import ReducedWord
 
 rs = build_root_system("A2")
 alg = UAlgebra(rs)
@@ -49,9 +49,8 @@ for label in ("A2", "B2"):
     alg = UAlgebra(rs)
     letters = (1, 2, 1) if label == "A2" else (1, 2, 1, 2)
     word = ReducedWord(rs, letters)
-    w = from_word(rs, letters)
     found = enumerate_polynomial_ideals(alg, word)
-    admissible = sorted((th.indices for th in enumerate_Tw(w, word)), key=lambda s: (len(s), s))
+    admissible = sorted((th.indices for th in enumerate_Tw(word)), key=lambda s: (len(s), s))
     print(f"{label} w0: polynomial ideals {found}")
     print(f"{label} w0: admissible sets  {admissible}  match: {found == admissible}")
 

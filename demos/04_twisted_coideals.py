@@ -27,12 +27,11 @@ from qborel.uqplus.hopf import (
     span_is_Q_graded,
     twist_generators,
 )
-from qborel.weyl import ReducedWord, from_word
+from qborel.weyl import ReducedWord
 
 rs = build_root_system("A2")
 alg = UAlgebra(rs)
 word = ReducedWord(rs, (1, 2, 1))
-w0 = from_word(rs, (1, 2, 1))
 
 # the coproduct on the nonnegative part
 print("Delta(E_1) =", repr(coproduct(alg, alg.E(1))))
@@ -44,7 +43,7 @@ st = stratum_of(theta_set(word, (1,)))
 ch = character(st, {st.theta.roots[0]: from_int(2)})
 L = max_admissible_lattice(ch)
 print("stratum Theta={1}: support", st.theta.roots, " L_max basis", L.basis)
-triple = CoidealTriple(w0, word, ch, L)
+triple = CoidealTriple(word, ch, L)
 print("triple is admissible:", validate_triple(triple))
 print()
 
@@ -54,7 +53,7 @@ for g in gens:
 print()
 
 # bounded, exact verification of the coideal property and the Q-grading
-for st in enumerate_strata(w0, word):
+for st in enumerate_strata(word):
     ch = character(st, {b: ONE for b in st.theta.roots})
     L = max_admissible_lattice(ch)
     gens = twist_generators(alg, word, ch, L)

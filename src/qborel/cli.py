@@ -239,7 +239,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
 def cmd_strata(cfg: RunConfig) -> int:
     entries = []
     for word in _selected_words(cfg):
-        strata = enumerate_strata(word.element, word)
+        strata = enumerate_strata(word)
         entries.append(
             {
                 "word": list(word.letters),
@@ -270,7 +270,7 @@ def cmd_strata(cfg: RunConfig) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     words = _selected_words(cfg)
-    reports = [classify(word.element, word, cfg.label) for word in words]
+    reports = [classify(word, cfg.label) for word in words]
     if cfg.fmt == "json":
         if len(reports) == 1:
             print(reports[0].to_json())
@@ -332,7 +332,7 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
     for g in weyl_group(rs):
         for letters in all_reduced_words(g):
             word = ReducedWord(rs, letters)
-            thetas = enumerate_Tw(g, word)
+            thetas = enumerate_Tw(word)
             n_words += 1
             idx_sets = {th.indices for th in thetas}
             for th in thetas:
@@ -365,7 +365,7 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
     if label == "A2":
         w0 = _longest_element(rs)
         word = ReducedWord(rs, canonical_word(w0))
-        strata = enumerate_strata(w0, word)
+        strata = enumerate_strata(word)
         dims = sorted(st.dim for st in strata)
         images = {canonical_word(st.y) for st in strata}
         checks.append(Check("A2: w0 has exactly 3 strata", len(strata) == 3, f"found {len(strata)}"))
@@ -428,7 +428,7 @@ def suite_quotient(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -
     bad = ""
     n = 0
     for word in _suite_words(rs):
-        for th in enumerate_Tw(word.element, word):
+        for th in enumerate_Tw(word):
             n += 1
             if not quotient_is_commutative_polynomial(alg, word, th.indices):
                 ok = False
@@ -445,7 +445,7 @@ def suite_enumerate(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) 
     for word in _suite_words(rs):
         found = enumerate_polynomial_ideals(alg, word)
         expected = sorted(
-            (th.indices for th in enumerate_Tw(word.element, word)),
+            (th.indices for th in enumerate_Tw(word)),
             key=lambda s: (len(s), s),
         )
         if list(found) != expected:
@@ -463,7 +463,7 @@ def suite_characters(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None)
     bad = ""
     n = 0
     for word in _suite_words(rs):
-        admissible = {th.indices for th in enumerate_Tw(word.element, word)}
+        admissible = {th.indices for th in enumerate_Tw(word)}
         t = len(word.letters)
         betas = word.roots
         for r in range(t + 1):
@@ -632,7 +632,7 @@ def suite_hopf(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
         if any(sum(b) > h for b in word.roots):
             n_skipped += 1
             continue
-        for st in enumerate_strata(word.element, word):
+        for st in enumerate_strata(word):
             ch = character(st, {b: ONE for b in st.theta.roots})
             L = max_admissible_lattice(ch)
             gens = twist_generators(alg, word, ch, L)

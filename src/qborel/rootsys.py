@@ -40,7 +40,6 @@ __all__ = [
     "height",
     "LatticeSubgroup",
     "orthogonal_complement_lattice",
-    "pair_with_rho",
     "vec_add",
     "vec_sub",
     "vec_neg",
@@ -197,11 +196,6 @@ class RootSystem:
         return tuple(map(sum, zip(*self.pos_roots)))
 
     @cached_property
-    def rho(self) -> tuple[Fraction, ...]:
-        """Half the sum of the positive roots, in simple root coordinates."""
-        return tuple(Fraction(x, 2) for x in self.two_rho)
-
-    @cached_property
     def reflection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Matrix of s_i on simple root coordinates, at index i - 1.
 
@@ -297,19 +291,34 @@ def build_root_system(spec) -> RootSystem:
     """Construct a root system from a type string or an explicit matrix.
 
     ``spec`` is either a name like "A2", "B3", "G2" or a square integer
-    matrix (sequence of sequences).  Raises InvalidCartan when the input is
-    not a valid finite-type Cartan matrix.  Every call builds a new object,
+    matrix (list or tuple of rows).  Raises InvalidCartan when the input is
+    not a valid finite-type Cartan matrix, including any entry that is not
+    an int (a float, a bool or a string).  Every call builds a new object,
     which owns its own derived caches.
     """
     if isinstance(spec, str):
         spec = _named_cartan(spec)
-    return _build_from_matrix(tuple(tuple(int(x) for x in r) for r in spec))
+    if not isinstance(spec, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in spec):
+        raise InvalidCartan("Cartan matrix must be a list of rows")
+    for row in spec:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InvalidCartan(f"Cartan entry {x!r} is not an integer")
+    return _build_from_matrix(tuple(tuple(r) for r in spec))
 
 
 def load_cartan_file(path: str) -> RootSystem:
-    """Read a JSON integer matrix from ``path`` and build the root system."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a JSON integer matrix from ``path`` and build the root system.
+
+    An unreadable file or one that is not JSON raises InvalidCartan.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidCartan(f"cannot read Cartan file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise InvalidCartan(f"Cartan file {path} is not JSON: {exc}") from None
     return build_root_system(data)
 
 
@@ -346,11 +355,6 @@ def height(rs: RootSystem, x: Vec) -> int:
     if any(c < 0 for c in x):
         raise NotInPositiveCone(f"{x} has a negative coordinate")
     return sum(x)
-
-
-def pair_with_rho(rs: RootSystem, beta: Vec, u) -> Fraction:
-    """(beta, u(rho)) as an exact rational; u is a Weyl group element."""
-    return Fraction(bilinear(rs, beta, u.act(rs.rho)))
 
 
 # ---------------------------------------------------------------------------

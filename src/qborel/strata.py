@@ -1,22 +1,24 @@
 """Stratification data attached to a Weyl group element.
 
-Given w and a reduced word for it, the inversion roots beta_1..beta_t
-carry a poset T^w of pairwise orthogonal subsets Theta satisfying the
-length condition l(w_Theta) = l(w) - |Theta|.  These subsets index the
-character strata of the algebra attached to w; kappa sends Theta to
-w_Theta and is an order reversing bijection onto W^w.  The classify
-entry point assembles the whole table, together with the maximal
-admissible lattice of each stratum.
+The input is a reduced word of w alone; w is its element.  The
+inversion roots beta_1..beta_t carry a poset T^w of pairwise orthogonal
+subsets Theta satisfying the length condition l(w_Theta) = l(w) - |Theta|.
+These subsets index the character strata of the algebra attached to w;
+kappa sends Theta to w_Theta and is an order reversing bijection onto
+W^w.  Each ThetaSet computes and checks its w_Theta once, when it is
+built, and kappa and the strata read it from there.  The classify entry
+point assembles the whole table, together with the maximal admissible
+lattice of each stratum.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .coeffs import QRat, ZERO
-from .errors import NotInWw, NotOrthogonal, NotReduced
+from .errors import NotInWw, NotOrthogonal
 from .rootsys import (
     LatticeSubgroup,
     Vec,
@@ -24,7 +26,7 @@ from .rootsys import (
     lattice_leq,
     orthogonal_complement_lattice,
 )
-from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, identity, reflection_of_root
+from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of_root
 
 
 def w_theta(w: WeylElt, roots) -> WeylElt:
@@ -39,99 +41,88 @@ def w_theta(w: WeylElt, roots) -> WeylElt:
         for b in range(a + 1, len(rts)):
             if bilinear(rs, rts[a], rts[b]) != 0:
                 raise NotOrthogonal(f"roots {rts[a]} and {rts[b]} are not orthogonal")
-    prod = identity(rs)
+    y = w
     for beta in rts:
-        prod = prod * reflection_of_root(rs, beta)
-    return prod * w
+        y = reflection_of_root(rs, beta) * y
+    return y
 
 
 @dataclass(frozen=True)
 class ThetaSet:
     """An admissible orthogonal subset of the inversion roots of a word.
 
-    indices are 1-based positions into word.roots, sorted ascending.
-    Construction validates orthogonality and the length condition, so a
-    ThetaSet is a certificate of membership in T^w.
+    indices are 1-based positions into word.roots, strictly increasing.
+    Construction derives w = word.element, the selected roots and
+    y = w_Theta once, and checks orthogonality and the length condition
+    l(y) = l(w) - |Theta|, so a ThetaSet is a certificate of membership
+    in T^w and carries its image under kappa.
     """
 
-    w: WeylElt
     word: ReducedWord
     indices: tuple[int, ...]
-    roots: tuple[Vec, ...]
+    w: WeylElt = field(init=False, compare=False, repr=False)
+    roots: tuple[Vec, ...] = field(init=False, compare=False, repr=False)
+    y: WeylElt = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.word.element.mat != self.w.mat:
-            raise NotReduced(f"word {self.word.letters} does not spell the given element")
         betas = self.word.roots
         if self.indices != tuple(sorted(set(self.indices))):
             raise ValueError("indices must be strictly increasing")
         if any(not 1 <= i <= len(betas) for i in self.indices):
             raise ValueError("index out of range for the word")
-        if self.roots != tuple(betas[i - 1] for i in self.indices):
-            raise ValueError("roots do not match the selected indices")
-        for a in range(len(self.roots)):
-            for b in range(a + 1, len(self.roots)):
-                if bilinear(self.w.rs, self.roots[a], self.roots[b]) != 0:
-                    raise NotOrthogonal(
-                        f"roots {self.roots[a]} and {self.roots[b]} are not orthogonal"
-                    )
-        y = w_theta(self.w, self.roots)
-        if y.length != self.w.length - len(self.roots):
+        w = self.word.element
+        roots = tuple(betas[i - 1] for i in self.indices)
+        y = w_theta(w, roots)
+        if y.length != w.length - len(roots):
             raise ValueError(f"subset {self.indices} fails the length condition")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "y", y)
 
     def __len__(self) -> int:
         return len(self.indices)
 
 
 def theta_set(word: ReducedWord, indices) -> ThetaSet:
-    idx = tuple(sorted(set(indices)))
-    betas = word.roots
-    if any(not 1 <= i <= len(betas) for i in idx):
-        raise ValueError("index out of range for the word")
-    roots = tuple(betas[i - 1] for i in idx)
-    return ThetaSet(word.element, word, idx, roots)
+    return ThetaSet(word, tuple(sorted(set(indices))))
 
 
-def enumerate_Tw(w: WeylElt, word: ReducedWord) -> list[ThetaSet]:
+def enumerate_Tw(word: ReducedWord) -> list[ThetaSet]:
     """All admissible subsets, smallest first.
 
     Grown incrementally: every member arises by appending its largest
     index to another member (subset closure), so the search never looks
-    at a subset whose proper prefix already failed.
+    at a subset whose proper prefix already failed.  The reflections of
+    an orthogonal set commute, so a candidate's w_Theta is its parent's
+    times one reflection, and only the members are built as ThetaSets.
     """
-    if word.element.mat != w.mat:
-        raise NotReduced(f"word {word.letters} does not spell the given element")
-    rs = w.rs
+    rs = word.rs
     betas = word.roots
     t = len(betas)
-    members: list[tuple[int, ...]] = [()]
+    members = [ThetaSet(word, ())]
     pos = 0
     while pos < len(members):
-        idx = members[pos]
+        th = members[pos]
         pos += 1
-        start = idx[-1] + 1 if idx else 1
+        start = th.indices[-1] + 1 if th.indices else 1
         for k in range(start, t + 1):
             beta_k = betas[k - 1]
-            if any(bilinear(rs, betas[i - 1], beta_k) != 0 for i in idx):
+            if any(bilinear(rs, beta, beta_k) != 0 for beta in th.roots):
                 continue
-            cand = idx + (k,)
-            y = w_theta(w, tuple(betas[i - 1] for i in cand))
-            if y.length == t - len(cand):
-                members.append(cand)
-    members.sort(key=lambda s: (len(s), s))
-    return [
-        ThetaSet(w, word, idx, tuple(betas[i - 1] for i in idx)) for idx in members
-    ]
+            if (reflection_of_root(rs, beta_k) * th.y).length == t - len(th) - 1:
+                members.append(ThetaSet(word, th.indices + (k,)))
+    members.sort(key=lambda th: (len(th), th.indices))
+    return members
 
 
 def kappa(theta: ThetaSet) -> WeylElt:
-    return w_theta(theta.w, theta.roots)
+    return theta.y
 
 
-def kappa_inverse(w: WeylElt, word: ReducedWord, y: WeylElt) -> ThetaSet:
+def kappa_inverse(word: ReducedWord, y: WeylElt) -> ThetaSet:
     """The unique Theta with w_Theta = y, if y lies in W^w."""
-    for theta in enumerate_Tw(w, word):
-        if kappa(theta).mat == y.mat:
+    for theta in enumerate_Tw(word):
+        if theta.y.mat == y.mat:
             return theta
     raise NotInWw(f"element with word {canonical_word(y)} is not a w_Theta for this w")
 
@@ -140,25 +131,27 @@ def kappa_inverse(w: WeylElt, word: ReducedWord, y: WeylElt) -> ThetaSet:
 class Stratum:
     """One stratum of the character space: y = w_Theta and dim = |Theta|."""
 
-    y: WeylElt
     theta: ThetaSet
-    dim: int
 
     def __post_init__(self):
-        if self.dim != len(self.theta):
-            raise ValueError("stratum dimension must equal |Theta|")
-        if self.y.mat != kappa(self.theta).mat:
-            raise ValueError("y is not w_Theta")
         if not bruhat_le(self.y, self.theta.w):
             raise ValueError("w_Theta must lie below w in Bruhat order")
 
+    @property
+    def y(self) -> WeylElt:
+        return self.theta.y
+
+    @property
+    def dim(self) -> int:
+        return len(self.theta)
+
 
 def stratum_of(theta: ThetaSet) -> Stratum:
-    return Stratum(kappa(theta), theta, len(theta))
+    return Stratum(theta)
 
 
-def enumerate_strata(w: WeylElt, word: ReducedWord) -> list[Stratum]:
-    return [stratum_of(th) for th in enumerate_Tw(w, word)]
+def enumerate_strata(word: ReducedWord) -> list[Stratum]:
+    return [Stratum(th) for th in enumerate_Tw(word)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +197,6 @@ def max_admissible_lattice(char: CharacterData) -> LatticeSubgroup:
 
 @dataclass(frozen=True, eq=False)
 class CoidealTriple:
-    w: WeylElt
     word: ReducedWord
     char: CharacterData
     L: LatticeSubgroup
@@ -213,19 +205,13 @@ class CoidealTriple:
 def validate_triple(t: CoidealTriple) -> bool:
     """Whether the triple indexes a coideal subalgebra.
 
-    Checks internal consistency (word spells w, the character lives on a
-    stratum of that word) and the lattice condition L <= (supp)^perp.
-    Returns a bool instead of raising: invalid data is an expected query.
+    Checks that the character lives on a stratum of the triple's word and
+    the lattice condition L <= (supp)^perp.  Returns a bool instead of
+    raising: invalid data is an expected query.
     """
-    try:
-        if t.word.element.mat != t.w.mat:
-            return False
-    except NotReduced:
+    if t.char.stratum.theta.word != t.word:
         return False
-    th = t.char.stratum.theta
-    if th.word.letters != t.word.letters or th.w.mat != t.w.mat:
-        return False
-    if t.L.n != t.w.rs.rank:
+    if t.L.n != t.word.rs.rank:
         return False
     return lattice_leq(t.L, max_admissible_lattice(t.char))
 
@@ -292,8 +278,8 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def classify(w: WeylElt, word: ReducedWord, label: str = "custom") -> ClassificationReport:
-    strata = enumerate_strata(w, word)
+def classify(word: ReducedWord, label: str = "custom") -> ClassificationReport:
+    strata = enumerate_strata(word)
     decorated = []
     for st in strata:
         lmax = max_admissible_lattice(character(st))

@@ -190,7 +190,7 @@ def twist_generators(
     Each g_i = (phi psi^{-1} (x) id) Delta(psi(E_{beta_i})); the lattice
     contributes the grouplikes K_gamma^{+-1} for a basis of L.
     """
-    triple = CoidealTriple(char.stratum.theta.w, word, char, L)
+    triple = CoidealTriple(word, char, L)
     if not validate_triple(triple):
         raise InvalidTriple("(w, char, L) fail the classification constraints")
     if char.f is None:

@@ -169,6 +169,28 @@ def test_cartan_file(tmp_path, capsys):
     assert len(doc["pos_roots"]) == 3
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # the file does not exist
+        "[[2, -1], [-1, 2]",
+        '{"cartan": [[2, -1], [-1, 2]]}',
+        '[["2", "-1"], ["-1", "2"]]',
+        "[[2, -1.7], [-1, 2]]",
+    ],
+    ids=["missing", "not-json", "object", "string-entries", "float-entry"],
+)
+def test_bad_cartan_file_is_usage_error(tmp_path, capsys, content):
+    p = tmp_path / "cartan.json"
+    if content is not None:
+        p.write_text(content)
+    code, out, err = run(capsys, "roots", "--cartan-file", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_bad_word_parse(capsys):
     code, _, err = run(capsys, "weyl", "--type", "A2", "--word", "1,x")
     assert code == 2

@@ -16,7 +16,6 @@ from qborel.rootsys import (
     lattice_leq,
     load_cartan_file,
     orthogonal_complement_lattice,
-    pair_with_rho,
     reflect,
     vec_sub,
 )
@@ -71,13 +70,13 @@ def test_reflect():
 
 
 def test_rho_pairing():
-    assert A2.rho == (1, 1)
+    assert A2.two_rho == (2, 2)
     e = identity(A2)
     for beta in A2.pos_roots:
-        assert pair_with_rho(A2, beta, e) > 0
+        assert bilinear(A2, beta, e.act(A2.two_rho)) > 0
     w0 = from_word(A2, (1, 2, 1))
     for beta in A2.pos_roots:
-        assert pair_with_rho(A2, beta, w0) < 0
+        assert bilinear(A2, beta, w0.act(A2.two_rho)) < 0
 
 
 def test_is_root():
@@ -109,6 +108,24 @@ def test_invalid_cartan():
         build_root_system([[2, -2], [-2, 2]])
     with pytest.raises(InvalidCartan):
         build_root_system([[1]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [[2.9, -1], [-1, 2]],
+        [[2, -1.7], [-1, 2]],
+        [[2.0, -1.0], [-1.0, 2.0]],
+        [[2, False], [False, 2]],
+        [["2", "-1"], ["-1", "2"]],
+        {"cartan": [[2, -1], [-1, 2]]},
+        [2, -1],
+        5,
+    ],
+)
+def test_non_integer_cartan_entries(spec):
+    with pytest.raises(InvalidCartan):
+        build_root_system(spec)
 
 
 def test_load_cartan_file(tmp_path):

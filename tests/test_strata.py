@@ -5,8 +5,9 @@ from itertools import combinations
 
 import pytest
 
+from qborel.cli import suite_strata
 from qborel.coeffs import ONE, ZERO, from_int
-from qborel.errors import NotInWw, NotOrthogonal, NotReduced
+from qborel.errors import NotInWw, NotOrthogonal
 from qborel.rootsys import LatticeSubgroup, bilinear, build_root_system
 from qborel.strata import (
     CoidealTriple,
@@ -40,9 +41,16 @@ W0_A2 = from_word(A2, (1, 2, 1))
 WORD_A2 = ReducedWord(A2, (1, 2, 1))
 
 
-def brute_Tw(w, word):
+def product_of_reflections(rs, roots):
+    prod = identity(rs)
+    for beta in roots:
+        prod = prod * reflection_of_root(rs, beta)
+    return prod
+
+
+def brute_Tw(word):
     """Independent oracle: test all 2^t subsets against the definition."""
-    rs = w.rs
+    rs = word.rs
     betas = word.roots
     t = len(betas)
     out = set()
@@ -55,26 +63,22 @@ def brute_Tw(w, word):
                 for b in range(a + 1, m)
             ):
                 continue
-            prod = identity(rs)
-            for beta in roots:
-                prod = prod * reflection_of_root(rs, beta)
-            if (prod * w).length == t - m:
+            if (product_of_reflections(rs, roots) * word.element).length == t - m:
                 out.add(combo)
     return out
 
 
 def test_a2_headline():
-    tw = enumerate_Tw(W0_A2, WORD_A2)
+    tw = enumerate_Tw(WORD_A2)
     assert {th.roots for th in tw} == {(), ((1, 0),), ((0, 1),)}
-    strata = enumerate_strata(W0_A2, WORD_A2)
+    strata = enumerate_strata(WORD_A2)
     assert sorted(st.dim for st in strata) == [0, 1, 1]
     assert {canonical_word(st.y) for st in strata} == {(1, 2, 1), (2, 1), (1, 2)}
 
 
 def test_b2_word_212():
-    w = from_word(build_root_system("B2"), (2, 1, 2))
-    word = ReducedWord(w.rs, (2, 1, 2))
-    tw = enumerate_Tw(w, word)
+    word = ReducedWord(build_root_system("B2"), (2, 1, 2))
+    tw = enumerate_Tw(word)
     assert [th.indices for th in tw] == [(), (1,), (3,), (1, 3)]
 
 
@@ -82,9 +86,9 @@ def test_a3_w0():
     a3 = build_root_system("A3")
     w0 = max(weyl_group(a3), key=lambda g: g.length)
     word = ReducedWord(a3, canonical_word(w0))
-    tw = enumerate_Tw(w0, word)
+    tw = enumerate_Tw(word)
     assert sorted(th.indices for th in tw) == [(), (1,), (1, 6), (3,), (6,)]
-    assert {th.indices for th in tw} == brute_Tw(w0, word)
+    assert {th.indices for th in tw} == brute_Tw(word)
 
 
 def test_w_theta():
@@ -97,35 +101,37 @@ def test_w_theta():
 def test_theta_set_certificates():
     th = theta_set(WORD_A2, (1,))
     assert th.roots == ((1, 0),)
+    assert th.w.mat == W0_A2.mat
+    assert th.y.mat == w_theta(W0_A2, th.roots).mat
     with pytest.raises(NotOrthogonal):
         theta_set(WORD_A2, (1, 2))
     with pytest.raises(ValueError):
         theta_set(WORD_A2, (5,))
     with pytest.raises(ValueError):
+        ThetaSet(WORD_A2, (3, 1))
+    with pytest.raises(ValueError):
         # orthogonality holds but the length drops by two, not one per root
-        ThetaSet(W0_A2, WORD_A2, (2,), ((1, 1),))
-    with pytest.raises(NotReduced):
-        enumerate_Tw(from_word(A2, (1,)), WORD_A2)
+        ThetaSet(WORD_A2, (2,))
 
 
 def test_kappa_round_trip():
-    tw = enumerate_Tw(W0_A2, WORD_A2)
+    tw = enumerate_Tw(WORD_A2)
     for th in tw:
-        assert kappa_inverse(W0_A2, WORD_A2, kappa(th)).indices == th.indices
+        assert kappa_inverse(WORD_A2, kappa(th)).indices == th.indices
     with pytest.raises(NotInWw):
-        kappa_inverse(W0_A2, WORD_A2, identity(A2))
+        kappa_inverse(WORD_A2, identity(A2))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_rank2_exhaustive(label):
     rs = build_root_system(label)
     for w in weyl_group(rs):
         seen = None
         for letters in all_reduced_words(w):
             word = ReducedWord(rs, letters)
-            tw = enumerate_Tw(w, word)
+            tw = enumerate_Tw(word)
             idxsets = {th.indices for th in tw}
-            assert idxsets == brute_Tw(w, word), (label, letters)
+            assert idxsets == brute_Tw(word), (label, letters)
             for th in tw:
                 for m in range(len(th.indices)):
                     for combo in combinations(th.indices, m):
@@ -133,6 +139,7 @@ def test_rank2_exhaustive(label):
             ys = set()
             for th in tw:
                 y = kappa(th)
+                assert y.mat == (product_of_reflections(rs, th.roots) * word.element).mat
                 assert y.mat not in ys
                 ys.add(y.mat)
                 assert y.length == w.length - len(th)
@@ -143,7 +150,8 @@ def test_rank2_exhaustive(label):
                     if set(th1.indices) <= set(th2.indices):
                         assert bruhat_le(kappa(th2), kappa(th1))
             t = len(letters)
-            assert all(set(th.indices) <= {1, t} for th in tw)
+            if rs.rank == 2:
+                assert all(set(th.indices) <= {1, t} for th in tw)
             rsets = frozenset(frozenset(th.roots) for th in tw)
             if seen is None:
                 seen = rsets
@@ -153,7 +161,7 @@ def test_rank2_exhaustive(label):
 
 
 def test_characters_and_lattices():
-    strata = {st.theta.roots: st for st in enumerate_strata(W0_A2, WORD_A2)}
+    strata = {st.theta.roots: st for st in enumerate_strata(WORD_A2)}
     st = strata[((1, 0),)]
     ch = character(st)
     assert ch.is_symbolic
@@ -169,24 +177,24 @@ def test_characters_and_lattices():
 
 
 def test_validate_triple():
-    st = {st.theta.roots: st for st in enumerate_strata(W0_A2, WORD_A2)}[((1, 0),)]
+    st = {st.theta.roots: st for st in enumerate_strata(WORD_A2)}[((1, 0),)]
     ch = character(st)
     good = LatticeSubgroup.from_generators(2, [(1, 2)])
     bad = LatticeSubgroup.from_generators(2, [(1, 0)])
     zero = LatticeSubgroup.from_generators(2, [])
-    assert validate_triple(CoidealTriple(W0_A2, WORD_A2, ch, good))
-    assert not validate_triple(CoidealTriple(W0_A2, WORD_A2, ch, bad))
-    assert validate_triple(CoidealTriple(W0_A2, WORD_A2, ch, zero))
+    assert validate_triple(CoidealTriple(WORD_A2, ch, good))
+    assert not validate_triple(CoidealTriple(WORD_A2, ch, bad))
+    assert validate_triple(CoidealTriple(WORD_A2, ch, zero))
     other_word = ReducedWord(A2, (2, 1, 2))
-    assert not validate_triple(CoidealTriple(W0_A2, other_word, ch, good))
+    assert not validate_triple(CoidealTriple(other_word, ch, good))
 
 
 def test_classify_report():
-    rep = classify(W0_A2, WORD_A2, label="A2")
+    rep = classify(WORD_A2, label="A2")
     assert len(rep.rows) == 3
     assert dict(rep.totals) == {"T_w": 3, "W_w": 3}
     # identical table from the other reduced word
-    rep2 = classify(W0_A2, ReducedWord(A2, (2, 1, 2)), label="A2")
+    rep2 = classify(ReducedWord(A2, (2, 1, 2)), label="A2")
     assert rep.rows == rep2.rows
     assert rep.bruhat == rep2.bruhat
     doc = json.loads(rep.to_json())
@@ -198,9 +206,9 @@ def test_classify_report():
 
 
 def test_classify_small_elements():
-    rep_e = classify(identity(A2), ReducedWord(A2, ()), label="A2")
+    rep_e = classify(ReducedWord(A2, ()), label="A2")
     assert len(rep_e.rows) == 1 and rep_e.rows[0].dim == 0
-    rep_s1 = classify(from_word(A2, (1,)), ReducedWord(A2, (1,)), label="A2")
+    rep_s1 = classify(ReducedWord(A2, (1,)), label="A2")
     assert len(rep_s1.rows) == 2
     assert sorted(r.dim for r in rep_s1.rows) == [0, 1]
 
@@ -211,3 +219,23 @@ def test_stratum_of():
     assert st.dim == 1
     assert st.y.mat == kappa(th).mat
     assert bruhat_le(st.y, W0_A2)
+
+
+def test_w_theta_once_per_member(monkeypatch):
+    calls = []
+
+    def spy(w, roots):
+        calls.append(roots)
+        return w_theta(w, roots)
+
+    monkeypatch.setattr("qborel.strata.w_theta", spy)
+    a3 = build_root_system("A3")
+    checks = suite_strata(a3, "A3")
+    assert all(c.ok for c in checks)
+    # one call per member of T^w, over every reduced word of every element
+    assert len(calls) == 301
+    assert len(calls) == sum(
+        len(brute_Tw(ReducedWord(a3, letters)))
+        for g in weyl_group(a3)
+        for letters in all_reduced_words(g)
+    )

@@ -36,7 +36,7 @@ from qborel.uqplus.hopf import (
 )
 from qborel.uqplus.linalg import SpanSolver, solve_in_span
 from qborel.uqplus.pbw import pbw_data
-from qborel.weyl import ReducedWord, canonical_word, from_word, weyl_group
+from qborel.weyl import ReducedWord, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
 ALG = UAlgebra(A2)
@@ -176,9 +176,8 @@ def test_mixed_degree_generator_next_to_grouplikes_is_refused():
 
 
 def test_a2_strata_give_right_coideals():
-    w0 = from_word(A2, (1, 2, 1))
     word = ReducedWord(A2, (1, 2, 1))
-    for st in enumerate_strata(w0, word):
+    for st in enumerate_strata(word):
         ch = character(st, {b: ONE for b in st.theta.roots})
         L = max_admissible_lattice(ch)
         gens = twist_generators(ALG, word, ch, L)
@@ -252,7 +251,7 @@ def test_in_span_matches_shift_oracle(monkeypatch, label):
         word = ReducedWord(rs, canonical_word(g))
         if any(sum(b) > 4 for b in word.roots):
             continue
-        for st in enumerate_strata(word.element, word):
+        for st in enumerate_strata(word):
             ch = character(st, {b: ONE for b in st.theta.roots})
             cases.append(twist_generators(alg, word, ch, max_admissible_lattice(ch)))
     cases.append([alg.E(1)])

@@ -126,7 +126,7 @@ def test_char_dichotomy(label):
     for g in sorted(weyl_group(rs), key=lambda g: g.length):
         word = ReducedWord(rs, canonical_word(g))
         t = len(word.letters)
-        good = {th.indices for th in enumerate_Tw(g, word)}
+        good = {th.indices for th in enumerate_Tw(word)}
         for size in range(t + 1):
             for S in combinations(range(1, t + 1), size):
                 assert char_well_defined(alg, word, S) == (S in good), (label, S)
@@ -165,7 +165,7 @@ def test_quotient_b2_middle_index():
 def test_enumerate_a2():
     got = enumerate_polynomial_ideals(ALG_A, W0_A)
     assert got == [(), (1,), (3,)]
-    want = sorted(th.indices for th in enumerate_Tw(W0_A.element, W0_A))
+    want = sorted(th.indices for th in enumerate_Tw(W0_A))
     assert sorted(got) == want
 
 
@@ -174,6 +174,6 @@ def test_enumerate_b2_every_element():
     alg = UAlgebra(rs)
     for g in sorted(weyl_group(rs), key=lambda g: g.length):
         word = ReducedWord(rs, canonical_word(g))
-        good = sorted(th.indices for th in enumerate_Tw(g, word))
+        good = sorted(th.indices for th in enumerate_Tw(word))
         got = sorted(enumerate_polynomial_ideals(alg, word))
         assert got == good, (word.letters, got, good)
