@@ -1,8 +1,9 @@
 """From a stratum to a right coideal subalgebra: characters, psi, twisting.
 
-Every triple (word, character f on the Theta root vectors, lattice L
+Every triple (w, character f on the Theta root vectors, lattice L
 orthogonal to the support) produces generators of a right coideal
-subalgebra of the non-negative part.  coideal_check verifies the coideal
+subalgebra of the non-negative part.  The character knows its stratum and
+the stratum its reduced word of w, so a triple is just (f, L).  coideal_check verifies the coideal
 property on a height-bounded piece, exactly.
 
 Run:  python demos/04_twisted_coideals.py
@@ -12,10 +13,10 @@ from qborel.coeffs import ONE, from_int
 from qborel.rootsys import build_root_system
 from qborel.strata import (
     CoidealTriple,
+    Stratum,
     character,
     enumerate_strata,
     max_admissible_lattice,
-    stratum_of,
     theta_set,
     validate_triple,
 )
@@ -39,15 +40,15 @@ print("psi(E_1)   =", repr(psi_apply(alg, alg.E(1))))
 print()
 
 # a character on a stratum assigns nonzero scalars to the Theta roots
-st = stratum_of(theta_set(word, (1,)))
+st = Stratum(theta_set(word, (1,)))
 ch = character(st, {st.theta.roots[0]: from_int(2)})
 L = max_admissible_lattice(ch)
 print("stratum Theta={1}: support", st.theta.roots, " L_max basis", L.basis)
-triple = CoidealTriple(word, ch, L)
+triple = CoidealTriple(ch, L)
 print("triple is admissible:", validate_triple(triple))
 print()
 
-gens = twist_generators(alg, word, ch, L)
+gens = twist_generators(alg, ch, L)
 for g in gens:
     print("  generator:", repr(g))
 print()
@@ -56,7 +57,7 @@ print()
 for st in enumerate_strata(word):
     ch = character(st, {b: ONE for b in st.theta.roots})
     L = max_admissible_lattice(ch)
-    gens = twist_generators(alg, word, ch, L)
+    gens = twist_generators(alg, ch, L)
     ok = coideal_check(alg, gens, 4)
     gr = span_is_Q_graded(alg, gens, 4)
     print(f"Theta={str(st.theta.indices or '{}'):<8} coideal_check: {ok}   Q-graded: {gr}")

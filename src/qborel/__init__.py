@@ -23,7 +23,6 @@ from .strata import (
     kappa,
     kappa_inverse,
     max_admissible_lattice,
-    stratum_of,
     theta_set,
     validate_triple,
     w_theta,
@@ -62,7 +61,6 @@ __all__ = [
     "kappa",
     "kappa_inverse",
     "Stratum",
-    "stratum_of",
     "enumerate_strata",
     "CharacterData",
     "character",

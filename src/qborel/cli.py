@@ -49,15 +49,15 @@ from .weyl import (
     weyl_group,
 )
 from .strata import (
+    Stratum,
     character,
     classify,
     enumerate_strata,
     enumerate_Tw,
     kappa,
     max_admissible_lattice,
-    stratum_of,
 )
-from .uqplus.free import FreeElt, kostant_dim, serre_relation
+from .uqplus.free import FreeElt, NFContext, kostant_dim, serre_relation
 from .uqplus.full import UAlgebra, lusztig_T
 from .uqplus.linalg import SpanSolver
 from .uqplus.pbw import (
@@ -348,7 +348,7 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
                 for set2, y2 in zip(sets, ys):
                     if set1 <= set2 and not bruhat_le(y2, y1):
                         bij_ok = False
-            for st in map(stratum_of, thetas):
+            for st in map(Stratum, thetas):
                 if st.dim != g.length - st.y.length:
                     dims_ok = False
             if rs.rank == 2:
@@ -635,7 +635,7 @@ def suite_hopf(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
         for st in enumerate_strata(word):
             ch = character(st, {b: ONE for b in st.theta.roots})
             L = max_admissible_lattice(ch)
-            gens = twist_generators(alg, word, ch, L)
+            gens = twist_generators(alg, ch, L)
             n_strata += 1
             if not coideal_check(alg, gens, h):
                 coideal_ok = False
@@ -828,9 +828,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotReduced as exc:
         print(f"error: word not reduced ({exc})", file=sys.stderr)
         return 2
-    except (InvalidCartan, BadIndex, InvalidPair, HeightOverflow) as exc:
-        # default height bounds never overflow: HeightOverflow means --height was too small
+    except (InvalidCartan, BadIndex, InvalidPair) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except HeightOverflow as exc:
+        # default height bounds never overflow: HeightOverflow means --height was too small
+        default = NFContext(_config(args).rs).height_bound
+        print(f"error: {exc}; omit --height to use the default {default}", file=sys.stderr)
         return 2
     except QBorelError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,9 +168,9 @@ class RootSystem:
     """Immutable container for Cartan data and the positive roots.
 
     It also owns the Weyl data derived from them, so that data lives and
-    dies with the root system: the simple reflection matrices, the table
-    of the reflection matrix of every root (which ``weyl.reflection_of_root``
-    looks up), and the element list that ``weyl.weyl_group`` fills on its
+    dies with the root system: the table of the reflection matrix of every
+    root (which ``weyl.simple_reflection`` and ``weyl.reflection_of_root``
+    look up), and the element list that ``weyl.weyl_group`` fills on its
     first call.
     """
 
@@ -194,19 +194,6 @@ class RootSystem:
     def two_rho(self) -> Vec:
         """The sum of the positive roots, in simple root coordinates."""
         return tuple(map(sum, zip(*self.pos_roots)))
-
-    @cached_property
-    def reflection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Matrix of s_i on simple root coordinates, at index i - 1.
-
-        s_i(alpha_j) = alpha_j - a_ij alpha_i: only row i differs from the identity.
-        """
-        n = self.rank
-        eye = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-        return tuple(
-            eye[:i] + (tuple(x - a for x, a in zip(eye[i], self.cartan[i])),) + eye[i + 1 :]
-            for i in range(n)
-        )
 
     @cached_property
     def root_reflections(self) -> dict[Vec, tuple[tuple[int, ...], ...]]:
@@ -447,10 +434,6 @@ class LatticeSubgroup:
 
     def __repr__(self) -> str:
         return f"LatticeSubgroup(rank={self.rank}, basis={self.basis})"
-
-
-def lattice_leq(a: LatticeSubgroup, b: LatticeSubgroup) -> bool:
-    return a.leq(b)
 
 
 def integer_kernel(rows: list[list[int]], n: int) -> LatticeSubgroup:

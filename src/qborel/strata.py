@@ -19,13 +19,7 @@ from typing import Mapping, Optional
 
 from .coeffs import QRat, ZERO
 from .errors import NotInWw, NotOrthogonal
-from .rootsys import (
-    LatticeSubgroup,
-    Vec,
-    bilinear,
-    lattice_leq,
-    orthogonal_complement_lattice,
-)
+from .rootsys import LatticeSubgroup, Vec, bilinear, orthogonal_complement_lattice
 from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of_root
 
 
@@ -129,13 +123,13 @@ def kappa_inverse(word: ReducedWord, y: WeylElt) -> ThetaSet:
 
 @dataclass(frozen=True)
 class Stratum:
-    """One stratum of the character space: y = w_Theta and dim = |Theta|."""
+    """One stratum of the character space: y = w_Theta and dim = |Theta|.
+
+    No check is needed: T^w is closed under subsets, so each root of Theta
+    lowers the length by one and w_Theta lies below w in Bruhat order.
+    """
 
     theta: ThetaSet
-
-    def __post_init__(self):
-        if not bruhat_le(self.y, self.theta.w):
-            raise ValueError("w_Theta must lie below w in Bruhat order")
 
     @property
     def y(self) -> WeylElt:
@@ -144,10 +138,6 @@ class Stratum:
     @property
     def dim(self) -> int:
         return len(self.theta)
-
-
-def stratum_of(theta: ThetaSet) -> Stratum:
-    return Stratum(theta)
 
 
 def enumerate_strata(word: ReducedWord) -> list[Stratum]:
@@ -185,11 +175,6 @@ def character(stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None) -> Chara
     return CharacterData(stratum, f)
 
 
-def support_of(char: CharacterData) -> tuple[Vec, ...]:
-    """Monoid generators of the support of the character, i.e. the Theta roots."""
-    return char.stratum.theta.roots
-
-
 def max_admissible_lattice(char: CharacterData) -> LatticeSubgroup:
     th = char.stratum.theta
     return orthogonal_complement_lattice(th.w.rs, th.roots)
@@ -197,23 +182,25 @@ def max_admissible_lattice(char: CharacterData) -> LatticeSubgroup:
 
 @dataclass(frozen=True, eq=False)
 class CoidealTriple:
-    word: ReducedWord
+    """A triple (w, phi, L); w is the word of the stratum phi lives on."""
+
     char: CharacterData
     L: LatticeSubgroup
+
+    @property
+    def word(self) -> ReducedWord:
+        return self.char.stratum.theta.word
 
 
 def validate_triple(t: CoidealTriple) -> bool:
     """Whether the triple indexes a coideal subalgebra.
 
-    Checks that the character lives on a stratum of the triple's word and
-    the lattice condition L <= (supp)^perp.  Returns a bool instead of
-    raising: invalid data is an expected query.
+    Checks the lattice condition L <= (supp)^perp.  Returns a bool
+    instead of raising: invalid data is an expected query.
     """
-    if t.char.stratum.theta.word != t.word:
-        return False
     if t.L.n != t.word.rs.rank:
         return False
-    return lattice_leq(t.L, max_admissible_lattice(t.char))
+    return t.L.leq(max_admissible_lattice(t.char))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact kernel for U^+ and U^{>=0}: normal forms, PBW bases, Hopf structure."""
 
-from .free import FreeElt, NFContext, kostant_dim, nf_plus, serre_relation, word_weight
+from .free import FreeElt, NFContext, kostant_dim, serre_relation, word_weight
 from .full import UAlgebra, UElt, lusztig_T, root_vectors, u_normal_form
 from .hopf import (
     TensorElt,
@@ -32,7 +32,6 @@ __all__ = [
     "word_weight",
     "serre_relation",
     "kostant_dim",
-    "nf_plus",
     "UElt",
     "UAlgebra",
     "u_normal_form",

@@ -227,6 +227,11 @@ class NFContext:
         return dict(self._normal_form(w))
 
     def reduce(self, x: FreeElt) -> FreeElt:
+        """Canonical form of x modulo the Serre ideal.
+
+        The result is supported on complement-basis words only; it is zero
+        exactly when x lies in the ideal.
+        """
         out: dict[Word, QRat] = {}
         for w, c in x.terms.items():
             add_scaled(out, self._normal_form(w), c)
@@ -237,12 +242,3 @@ class NFContext:
 
     def dim_plus(self, mu: Vec) -> int:
         return len(self.component(mu).complement)
-
-
-def nf_plus(ctx: NFContext, x: FreeElt) -> FreeElt:
-    """Canonical form of x modulo the Serre ideal.
-
-    The result is supported on complement-basis words only; it is zero
-    exactly when x lies in the ideal.
-    """
-    return ctx.reduce(x)

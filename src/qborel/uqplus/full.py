@@ -222,41 +222,30 @@ def _t_generator(alg: UAlgebra, a: int, kind: str, i: int, inverse: bool) -> UEl
     cached = alg._tgen.get(key)
     if cached is not None:
         return cached
-    rs = alg.rs
-    da = rs.d[a - 1]
-    alpha = rs.simple(a)
-    if kind == "E":
-        if i == a:
-            out = (alg.F(a) * alg.K(alpha)).scale(-ONE) if not inverse else (
-                alg.K(vec_neg(alpha)) * alg.F(a)
-            ).scale(-ONE)
-        else:
-            r = -rs.cartan[a - 1][i - 1]
-            out = alg.zero()
-            for s in range(r + 1):
-                coef = qpow(-s * da)
-                if s % 2:
-                    coef = -coef
-                lo = _divided_power(alg, alg.E(a), r - s if not inverse else s, da)
-                hi = _divided_power(alg, alg.E(a), s if not inverse else r - s, da)
-                out = out + (lo * alg.E(i) * hi).scale(coef)
-    elif kind == "F":
-        if i == a:
-            out = (alg.K(vec_neg(alpha)) * alg.E(a)).scale(-ONE) if not inverse else (
-                alg.E(a) * alg.K(alpha)
-            ).scale(-ONE)
-        else:
-            r = -rs.cartan[a - 1][i - 1]
-            out = alg.zero()
-            for s in range(r + 1):
-                coef = qpow(s * da)
-                if s % 2:
-                    coef = -coef
-                lo = _divided_power(alg, alg.F(a), s if not inverse else r - s, da)
-                hi = _divided_power(alg, alg.F(a), r - s if not inverse else s, da)
-                out = out + (lo * alg.F(i) * hi).scale(coef)
-    else:
+    if kind not in ("E", "F"):
         raise ValueError(f"unknown generator kind {kind!r}")
+    rs = alg.rs
+    gen, other, sign = (alg.E, alg.F, -1) if kind == "E" else (alg.F, alg.E, 1)
+    # T_a on E mirrors T_a^-1 on F, and T_a^-1 on E mirrors T_a on F
+    flip = (kind == "E") != inverse
+    if i == a:
+        alpha = rs.simple(a)
+        if flip:
+            out = (other(a) * alg.K(alpha)).scale(-ONE)
+        else:
+            out = (alg.K(vec_neg(alpha)) * other(a)).scale(-ONE)
+    else:
+        da = rs.d[a - 1]
+        r = -rs.cartan[a - 1][i - 1]
+        ga = gen(a)
+        out = alg.zero()
+        for s in range(r + 1):
+            coef = qpow(sign * s * da)
+            if s % 2:
+                coef = -coef
+            lo, hi = (r - s, s) if flip else (s, r - s)
+            term = _divided_power(alg, ga, lo, da) * gen(i) * _divided_power(alg, ga, hi, da)
+            out = out + term.scale(coef)
     alg._tgen[key] = out
     return out
 

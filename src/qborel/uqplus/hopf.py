@@ -15,7 +15,6 @@ from ..errors import (
 )
 from ..rootsys import LatticeSubgroup, Vec, bilinear, vec_add, vec_sub
 from ..strata import CharacterData, CoidealTriple, validate_triple
-from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
 from .linalg import SpanSolver, TermMap, add_term
@@ -179,22 +178,19 @@ def psi_apply(alg: UAlgebra, x) -> UElt:
     return UElt(alg, out)
 
 
-def twist_generators(
-    alg: UAlgebra,
-    word: ReducedWord,
-    char: CharacterData,
-    L: LatticeSubgroup,
-) -> list[UElt]:
+def twist_generators(alg: UAlgebra, char: CharacterData, L: LatticeSubgroup) -> list[UElt]:
     """Generators of the coideal subalgebra attached to (w, phi, L).
 
-    Each g_i = (phi psi^{-1} (x) id) Delta(psi(E_{beta_i})); the lattice
+    w is the word of the stratum phi lives on.  Each
+    g_i = (phi psi^{-1} (x) id) Delta(psi(E_{beta_i})); the lattice
     contributes the grouplikes K_gamma^{+-1} for a basis of L.
     """
-    triple = CoidealTriple(word, char, L)
+    triple = CoidealTriple(char, L)
     if not validate_triple(triple):
         raise InvalidTriple("(w, char, L) fail the classification constraints")
     if char.f is None:
         raise ValueError("twisting needs concrete character values")
+    word = triple.word
     data = pbw_data(alg, word)
     gens: list[UElt] = []
     for i in range(1, len(word.letters) + 1):

@@ -37,13 +37,6 @@ class PBWVec:
             and self.terms == other.terms
         )
 
-    def support(self) -> set[int]:
-        """1-based positions k with a_k > 0 in some nonzero term."""
-        out: set[int] = set()
-        for a in self.terms:
-            out.update(k + 1 for k, e in enumerate(a) if e > 0)
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "word": list(self.word.letters),

@@ -5,9 +5,9 @@ coordinates, together with the inverse matrix so that inversion sets and
 length computations never need matrix inversion.  Letters of words are
 1-based simple root indices.
 
-Nothing is cached at module level.  The RootSystem keeps the simple
-reflection matrices, the reflection matrix of every root and the list of
-group elements.  An element computes the heights of w^{-1}(alpha_j), which
+Nothing is cached at module level.  The RootSystem keeps the reflection
+matrix of every root, simple roots included, and the list of group
+elements.  An element computes the heights of w^{-1}(alpha_j), which
 give its left descents and its length, once, on first use, and keeps them.
 A ReducedWord computes its element and its roots once, when it is built.
 
@@ -30,7 +30,7 @@ from .errors import (
     NoNonorthogonalPair,
     NotReduced,
 )
-from .rootsys import RootSystem, Vec, bilinear, vec_neg
+from .rootsys import RootSystem, Vec, bilinear, reflect, vec_neg
 
 __all__ = [
     "WeylElt",
@@ -39,7 +39,6 @@ __all__ = [
     "simple_reflection",
     "from_word",
     "reflection_of_root",
-    "roots_of_word",
     "inversion_set",
     "bruhat_le",
     "weyl_bruhat_equiv",
@@ -131,7 +130,7 @@ def identity(rs: RootSystem) -> WeylElt:
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     if not 1 <= i <= rs.rank:
         raise BadIndex(f"simple index {i} is not in 1..{rs.rank}")
-    m = rs.reflection_matrices[i - 1]
+    m = rs.root_reflections[rs.simple(i)]
     return WeylElt(rs, m, m)
 
 
@@ -154,21 +153,13 @@ def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
 # reduced words
 
 
-def roots_of_word(rs: RootSystem, letters) -> tuple[Vec, ...]:
-    """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a reduced word.
-
-    Raises NotReduced when the word is not reduced.
-    """
-    return ReducedWord(rs, tuple(letters)).roots
-
-
 @dataclass(frozen=True)
 class ReducedWord:
     """A reduced word, validated at construction.
 
     ``element`` is the product s_{i_1} ... s_{i_t} and ``roots`` are the
-    beta_k of :func:`roots_of_word`; both come from one pass over the
-    letters.
+    beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}); both come from one pass
+    over the letters.  A word that is not reduced raises NotReduced.
     """
 
     rs: RootSystem
@@ -255,7 +246,8 @@ def bruhat_le(u: WeylElt, v: WeylElt) -> bool:
     """Bruhat order via the lifting property.
 
     Walk down a reduced word of v from the left; at each letter follow u
-    downward when the letter is a descent of u as well.
+    downward when the letter is a left descent of u as well (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Prop. 2.2.7).
     """
     while True:
         if u.is_identity:
@@ -265,9 +257,8 @@ def bruhat_le(u: WeylElt, v: WeylElt) -> bool:
         i = v.left_descents()[0]
         s = simple_reflection(v.rs, i)
         v = s * v
-        su = s * u
-        if su.length < u.length:
-            u = su
+        if i in u.left_descents():
+            u = s * u
 
 
 def weyl_bruhat_equiv(u: WeylElt, beta: Vec) -> tuple[bool, bool, bool]:
@@ -334,10 +325,6 @@ def lemma12_step(w: WeylElt, alpha: Vec, beta: Vec, gamma: Vec) -> tuple[Vec, Ve
     if ab == 0 and ag == 0:
         raise NoNonorthogonalPair("alpha is orthogonal to both beta and gamma")
 
-    def reflect_root(a: Vec, b: Vec) -> Vec:
-        coef = 2 * bilinear(rs, a, b) // bilinear(rs, a, a)
-        return tuple(x - coef * y for x, y in zip(b, a))
-
     def valid(a2: Vec, b2: Vec, g2: Vec) -> tuple[Vec, Vec, Vec] | None:
         a2 = _as_positive_root(rs, a2)
         b2 = _as_positive_root(rs, b2)
@@ -375,12 +362,12 @@ def lemma12_step(w: WeylElt, alpha: Vec, beta: Vec, gamma: Vec) -> tuple[Vec, Ve
         candidates.append((gamma, alpha, beta))
     else:
         aa = bilinear(rs, alpha, alpha)
-        candidates.append((reflect_root(alpha, beta), alpha, gamma))
+        candidates.append((reflect(rs, alpha, beta), alpha, gamma))
         if aa == bilinear(rs, beta, beta):
-            candidates.append((beta, reflect_root(beta, alpha), gamma))
-        candidates.append((reflect_root(alpha, gamma), alpha, beta))
+            candidates.append((beta, reflect(rs, beta, alpha), gamma))
+        candidates.append((reflect(rs, alpha, gamma), alpha, beta))
         if aa == bilinear(rs, gamma, gamma):
-            candidates.append((gamma, reflect_root(gamma, alpha), beta))
+            candidates.append((gamma, reflect(rs, gamma, alpha), beta))
     for cand in candidates:
         out = valid(*cand)
         if out is not None:

@@ -211,6 +211,16 @@ def test_height_too_small_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_height_overflow_names_the_default_bound(capsys):
+    code, out, err = run(capsys, "verify", "--type", "B2", "--suite", "kernel", "--height", "2")
+    assert code == 2
+    assert out == ""
+    # the default is twice the highest root height of B2, 2 * 3
+    assert err == (
+        "error: weight (2, 1) exceeds the height bound 2; omit --height to use the default 6\n"
+    )
+
+
 # sha256 of stdout for one cheap invocation of each subcommand, and for
 # `verify --suite all`, whose suites share one algebra; output is
 # byte-stable, so a changed digest is a changed result or format

@@ -13,7 +13,6 @@ from qborel.rootsys import (
     build_root_system,
     height,
     integer_kernel,
-    lattice_leq,
     load_cartan_file,
     orthogonal_complement_lattice,
     reflect,
@@ -150,9 +149,9 @@ def test_lattice_leq():
     full = LatticeSubgroup.from_generators(2, [(1, 0), (0, 1)])
     even = LatticeSubgroup.from_generators(2, [(2, 0), (0, 2)])
     zero = LatticeSubgroup.from_generators(2, [])
-    assert lattice_leq(even, full)
-    assert not lattice_leq(full, even)
-    assert lattice_leq(zero, even)
+    assert even.leq(full)
+    assert not full.leq(even)
+    assert zero.leq(even)
     assert zero.rank == 0 and not zero.contains((1, 0)) and zero.contains((0, 0))
 
 

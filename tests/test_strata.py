@@ -11,6 +11,7 @@ from qborel.errors import NotInWw, NotOrthogonal
 from qborel.rootsys import LatticeSubgroup, bilinear, build_root_system
 from qborel.strata import (
     CoidealTriple,
+    Stratum,
     ThetaSet,
     character,
     classify,
@@ -19,14 +20,13 @@ from qborel.strata import (
     kappa,
     kappa_inverse,
     max_admissible_lattice,
-    stratum_of,
-    support_of,
     theta_set,
     validate_triple,
     w_theta,
 )
 from qborel.weyl import (
     ReducedWord,
+    WeylElt,
     all_reduced_words,
     bruhat_le,
     canonical_word,
@@ -122,7 +122,7 @@ def test_kappa_round_trip():
         kappa_inverse(WORD_A2, identity(A2))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_rank2_exhaustive(label):
     rs = build_root_system(label)
     for w in weyl_group(rs):
@@ -145,6 +145,7 @@ def test_rank2_exhaustive(label):
                 assert y.length == w.length - len(th)
                 for beta in th.roots:
                     assert all(c >= 0 for c in y.act_inv(beta))
+            # with th1 empty, w_Theta <= w: Stratum relies on it and checks nothing
             for th1 in tw:
                 for th2 in tw:
                     if set(th1.indices) <= set(th2.indices):
@@ -165,7 +166,7 @@ def test_characters_and_lattices():
     st = strata[((1, 0),)]
     ch = character(st)
     assert ch.is_symbolic
-    assert support_of(ch) == ((1, 0),)
+    assert ch.stratum.theta.roots == ((1, 0),)
     assert max_admissible_lattice(ch).basis == ((1, 2),)
     assert max_admissible_lattice(character(strata[()])).basis == ((1, 0), (0, 1))
     concrete = character(st, {(1, 0): from_int(2)})
@@ -182,11 +183,10 @@ def test_validate_triple():
     good = LatticeSubgroup.from_generators(2, [(1, 2)])
     bad = LatticeSubgroup.from_generators(2, [(1, 0)])
     zero = LatticeSubgroup.from_generators(2, [])
-    assert validate_triple(CoidealTriple(WORD_A2, ch, good))
-    assert not validate_triple(CoidealTriple(WORD_A2, ch, bad))
-    assert validate_triple(CoidealTriple(WORD_A2, ch, zero))
-    other_word = ReducedWord(A2, (2, 1, 2))
-    assert not validate_triple(CoidealTriple(other_word, ch, good))
+    assert validate_triple(CoidealTriple(ch, good))
+    assert not validate_triple(CoidealTriple(ch, bad))
+    assert validate_triple(CoidealTriple(ch, zero))
+    assert CoidealTriple(ch, good).word is WORD_A2
 
 
 def test_classify_report():
@@ -215,7 +215,7 @@ def test_classify_small_elements():
 
 def test_stratum_of():
     th = theta_set(WORD_A2, (3,))
-    st = stratum_of(th)
+    st = Stratum(th)
     assert st.dim == 1
     assert st.y.mat == kappa(th).mat
     assert bruhat_le(st.y, W0_A2)
@@ -239,3 +239,18 @@ def test_w_theta_once_per_member(monkeypatch):
         for g in weyl_group(a3)
         for letters in all_reduced_words(g)
     )
+
+
+def test_suite_strata_weyl_products(monkeypatch):
+    calls = [0]
+    real = WeylElt.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(WeylElt, "__mul__", counting)
+    checks = suite_strata(build_root_system("A3"), "A3")
+    assert all(c.ok for c in checks)
+    # a Stratum checks nothing, and a bruhat_le step multiplies u only at a shared descent
+    assert calls[0] <= 5939

@@ -7,7 +7,7 @@ import pytest
 from qborel.coeffs import ONE, ZERO, parse
 from qborel.errors import BadIndex, NotInSubalgebra
 from qborel.rootsys import build_root_system
-from qborel.strata import character, enumerate_Tw, stratum_of, theta_set
+from qborel.strata import Stratum, character, enumerate_Tw, theta_set
 from qborel.uqplus.free import FreeElt, kostant_dim
 from qborel.uqplus.full import UAlgebra
 from qborel.uqplus.linalg import SpanSolver
@@ -139,7 +139,7 @@ def test_char_concrete_examples():
 
 
 def test_char_eval():
-    st = stratum_of(theta_set(W0_A, (1,)))
+    st = Stratum(theta_set(W0_A, (1,)))
     ch = character(st, {st.theta.roots[0]: ONE})
     assert char_eval(ch, pbw_expand(ALG_A, W0_A, FreeElt.gen(1))) == ONE
     assert char_eval(ch, ls_relation(ALG_A, W0_A, 1, 3)) == ZERO

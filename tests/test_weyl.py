@@ -18,7 +18,6 @@ from qborel.weyl import (
     lemma12_step,
     normalize_reflection_sequence,
     reflection_of_root,
-    roots_of_word,
     simple_reflection,
     validate_chain,
     weyl_bruhat_equiv,
@@ -93,13 +92,13 @@ def test_reduced_word_validation():
 
 
 def test_roots_of_word():
-    assert roots_of_word(A2, (1, 2, 1)) == ((1, 0), (1, 1), (0, 1))
-    assert roots_of_word(B2, (1, 2, 1, 2)) == ((1, 0), (2, 1), (1, 1), (0, 1))
+    assert ReducedWord(A2, (1, 2, 1)).roots == ((1, 0), (1, 1), (0, 1))
+    assert ReducedWord(B2, (1, 2, 1, 2)).roots == ((1, 0), (2, 1), (1, 1), (0, 1))
     # the collected roots are exactly the inversion set
     for rs in (A2, B2, G2):
         for g in weyl_group(rs):
             letters = canonical_word(g)
-            assert set(roots_of_word(rs, letters)) == set(inversion_set(g))
+            assert set(ReducedWord(rs, letters).roots) == set(inversion_set(g))
 
 
 def test_inversion_set():
@@ -141,6 +140,34 @@ def test_bruhat_order():
         for v in weyl_group(A2):
             if bruhat_le(u, v) and bruhat_le(v, u):
                 assert u.mat == v.mat
+
+
+def _subword_products(v):
+    """Matrices of the products of the subwords of canonical_word(v).
+
+    The subword property: u <= v exactly when u is such a product.  The
+    set is grown letter by letter, each letter taken or skipped.
+    """
+    rs = v.rs
+    found = {identity(rs).mat: identity(rs)}
+    for i in canonical_word(v):
+        s = simple_reflection(rs, i)
+        for x in list(found.values()):
+            y = x * s
+            found.setdefault(y.mat, y)
+    return set(found)
+
+
+@pytest.mark.parametrize("rs", [B2, G2, A3, B3], ids=["B2", "G2", "A3", "B3"])
+def test_bruhat_le_matches_the_subword_property(rs):
+    group = weyl_group(rs)
+    n_below = 0
+    for v in group:
+        below = _subword_products(v)
+        n_below += len(below)
+        for u in group:
+            assert bruhat_le(u, v) == (u.mat in below), (canonical_word(u), canonical_word(v))
+    assert len(group) < n_below < len(group) ** 2
 
 
 def test_bruhat_equiv_exhaustive_rank2():
@@ -272,7 +299,7 @@ def test_reduced_word_stores_its_element_and_roots():
     assert word == ReducedWord(B3, (1, 2, 3, 2))
     assert len({word, ReducedWord(B3, (1, 2, 3, 2))}) == 1
     with pytest.raises(NotReduced):
-        roots_of_word(A2, (1, 3))
+        ReducedWord(A2, (1, 3))
 
 
 def _act_inv_length(w):
