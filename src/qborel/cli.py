@@ -20,7 +20,6 @@ from .coeffs import ONE, from_int, qpow
 from .errors import (
     BadIndex,
     HeightOverflow,
-    InternalContradiction,
     InvalidCartan,
     InvalidPair,
     NotReduced,
@@ -72,7 +71,6 @@ from .uqplus.hopf import (
     check_counit_law,
     check_graded_compatibility,
     coideal_check,
-    coproduct,
     psi_apply,
     span_is_Q_graded,
     twist_generators,
@@ -341,7 +339,7 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
                         if sub not in idx_sets:
                             closure_ok = False
             ys = [kappa(th) for th in thetas]
-            if len({y.mat for y in ys}) != len(thetas):
+            if len(set(ys)) != len(thetas):
                 bij_ok = False
             sets = [set(th.indices) for th in thetas]
             for set1, y1 in zip(sets, ys):
@@ -545,7 +543,7 @@ def suite_weyl(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
             p_out = w
             for b in out:
                 p_out = reflection_of_root(rs, b) * p_out
-            if p_in.mat != p_out.mat:
+            if p_in != p_out:
                 chain_ok = False
         checks.append(
             Check(

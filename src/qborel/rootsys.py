@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InvalidCartan, NotInPositiveCone
 
@@ -168,10 +169,9 @@ class RootSystem:
     """Immutable container for Cartan data and the positive roots.
 
     It also owns the Weyl data derived from them, so that data lives and
-    dies with the root system: the table of the reflection matrix of every
-    root (which ``weyl.simple_reflection`` and ``weyl.reflection_of_root``
-    look up), and the element list that ``weyl.weyl_group`` fills on its
-    first call.
+    dies with the root system: the table of the coroot row of every root
+    (which ``weyl`` reflects vectors with), built on first use, and the
+    element list that ``weyl.weyl_group`` fills on its first call.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -196,21 +196,22 @@ class RootSystem:
         return tuple(map(sum, zip(*self.pos_roots)))
 
     @cached_property
-    def root_reflections(self) -> dict[Vec, tuple[tuple[int, ...], ...]]:
-        """Matrix of s_beta on simple root coordinates, keyed by every root +-beta.
+    def coroots(self) -> dict[Vec, Vec]:
+        """The coroot row of every root +-beta, keyed by the root.
 
-        s_beta(alpha_j) = alpha_j - (2 (beta, alpha_j) / (beta, beta)) beta,
-        and s_beta = s_(-beta).
+        <x, beta^vee> = 2 (beta, x) / (beta, beta) is the dot product of the
+        row with x, and row_j = <alpha_j, beta^vee> is an integer; the row
+        of -beta is minus the row of beta, and the row of alpha_i is row i
+        of the Cartan matrix.  The reflection s_beta is
+        x -> x - <x, beta^vee> beta.
         """
-        n = self.rank
         table = {}
         for beta in self.pos_roots:
-            bb = bilinear(self, beta, beta)
-            coef = [2 * bilinear(self, beta, self.simple(j + 1)) // bb for j in range(n)]
-            m = tuple(
-                tuple(int(r == j) - coef[j] * beta[r] for j in range(n)) for r in range(n)
-            )
-            table[beta] = table[vec_neg(beta)] = m
+            pair = [sum(map(mul, g, beta)) for g in self.gram]  # (alpha_j, beta)
+            bb = sum(map(mul, beta, pair))
+            row = tuple(2 * x // bb for x in pair)
+            table[beta] = row
+            table[vec_neg(beta)] = vec_neg(row)
         return table
 
     @property

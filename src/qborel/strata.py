@@ -116,7 +116,7 @@ def kappa(theta: ThetaSet) -> WeylElt:
 def kappa_inverse(word: ReducedWord, y: WeylElt) -> ThetaSet:
     """The unique Theta with w_Theta = y, if y lies in W^w."""
     for theta in enumerate_Tw(word):
-        if theta.y.mat == y.mat:
+        if theta.y == y:
             return theta
     raise NotInWw(f"element with word {canonical_word(y)} is not a w_Theta for this w")
 
@@ -284,9 +284,9 @@ def classify(word: ReducedWord, label: str = "custom") -> ClassificationReport:
     pairs = []
     for i in range(len(ys)):
         for j in range(len(ys)):
-            if i != j and ys[i].mat != ys[j].mat and bruhat_le(ys[i], ys[j]):
+            if i != j and ys[i] != ys[j] and bruhat_le(ys[i], ys[j]):
                 pairs.append((i, j))
-    totals = {"T_w": len(rows), "W_w": len({y.mat for y in ys})}
+    totals = {"T_w": len(rows), "W_w": len(set(ys))}
     return ClassificationReport(
         type_label=label,
         word=word.letters,

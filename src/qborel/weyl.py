@@ -1,15 +1,30 @@
 """Weyl group elements, reduced words, Bruhat order and reflection chains.
 
-Elements are stored as exact integer matrices acting on simple root
-coordinates, together with the inverse matrix so that inversion sets and
-length computations never need matrix inversion.  Letters of words are
-1-based simple root indices.
+An element w is stored by its orbit vector w(2 rho), an integer vector in
+simple root coordinates.  The vector 2 rho is regular: (alpha_i, 2 rho) =
+(alpha_i, alpha_i) > 0 for every i, so no reflection fixes it, its
+stabilizer in W is trivial, and w -> w(2 rho) is injective.  Equality and
+hashing use that vector alone.  Letters of words are 1-based simple root
+indices.
 
-Nothing is cached at module level.  The RootSystem keeps the reflection
-matrix of every root, simple roots included, and the list of group
-elements.  An element computes the heights of w^{-1}(alpha_j), which
-give its left descents and its length, once, on first use, and keeps them.
-A ReducedWord computes its element and its roots once, when it is built.
+These operations are O(n) on the vector (Casselman, Machine calculations
+in Weyl groups, Invent. Math. 116, 1994):
+
+* left multiplication by a reflection, s_beta w(2 rho) = v - <v, beta^vee> beta,
+  with the coroot row <., beta^vee> of beta from the root system's table;
+* the left descent test: i is a left descent exactly when
+  (alpha_i, v) = (w^{-1}(alpha_i), 2 rho) is negative;
+* one step of a descent walk (canonical_word, all_reduced_words,
+  bruhat_le), which updates the pairings (alpha_i, v) directly.
+
+The length, #{beta > 0 : (beta, v) < 0}, is counted once per element and
+kept.  The matrices ``mat`` and ``inv``, and with them ``act``,
+``act_inv`` and a product whose left factor is not a reflection, are
+derived from the canonical word on first use and kept on the element.
+
+Nothing is cached at module level.  The RootSystem keeps the coroot row of
+every root and the list of group elements.  A ReducedWord computes its
+element and its roots once, when it is built.
 
 The module also implements the two pieces of chain surgery used by the
 classification combinatorics: a three-reflection rewriting step and the
@@ -52,28 +67,63 @@ __all__ = [
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+def _reflect(v: Vec, gamma: Vec, coroot: Vec) -> Vec:
+    """s_gamma(v) = v - <v, gamma^vee> gamma, given the coroot row of gamma."""
+    k = sum(map(mul, coroot, v))
+    return tuple([x - k * g for x, g in zip(v, gamma)])
 
 
-def _ident(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _descend(rs: RootSystem, p: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The pairings (alpha_j, s_i v) from p = ((alpha_j, v))_j, i 0-based.
+
+    <v, alpha_i^vee> = p_i / d_i, as (alpha_i, alpha_i) = 2 d_i.
+    """
+    k = p[i] // rs.d[i]
+    return tuple([x - k * g for x, g in zip(p, rs.gram[i])])
+
+
+def _word_matrix(rs: RootSystem, letters) -> Matrix:
+    """Matrix of s_{l_1} ... s_{l_k} on simple root coordinates.
+
+    Built right to left: s_i M changes only row i of M, to
+    row_i - sum_j a_ij row_j.
+    """
+    n = rs.rank
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i in reversed(letters):
+        a = rs.cartan[i - 1]
+        rows[i - 1] = [
+            x - sum(a[j] * rows[j][c] for j in range(n) if a[j])
+            for c, x in enumerate(rows[i - 1])
+        ]
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
 class WeylElt:
-    """Group element as a pair of mutually inverse integer matrices.
+    """Group element w, stored by its orbit vector ``vec`` = w(2 rho).
 
-    ``mat`` sends simple root coordinates of v to those of w(v); column j
-    holds the image of the j-th simple root.  The heights of the roots
-    w^{-1}(alpha_j) and the length are computed on first use and kept on
-    the element.
+    Equality and hashing use ``vec`` alone.  ``root`` is set to beta when
+    the element was built as the reflection s_beta, so that a product with
+    it on the left is one O(n) reflection of a vector; it takes no part in
+    equality.  The pairings (alpha_i, vec), which give the left descents,
+    and the length are computed on first use and kept on the element, and
+    so are the derived matrices: ``mat`` sends simple root coordinates of v
+    to those of w(v), column j holding w(alpha_j), and ``inv`` is the
+    matrix of w^{-1}.
     """
 
-    rs: RootSystem
-    mat: Matrix
-    inv: Matrix
+    rs: RootSystem = field(compare=False)
+    vec: Vec
+    root: Vec | None = field(default=None, compare=False)
+
+    @cached_property
+    def mat(self) -> Matrix:
+        return _word_matrix(self.rs, self._word)
+
+    @cached_property
+    def inv(self) -> Matrix:
+        return _word_matrix(self.rs, self._word[::-1])
 
     def act(self, v):
         """Apply the element to a coordinate vector (ints or Fractions)."""
@@ -83,70 +133,91 @@ class WeylElt:
         return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in self.inv)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        if self.rs is not other.rs and self.rs != other.rs:
+        """(u v)(2 rho) = u(v(2 rho)): one reflection if u is s_beta, else u.act."""
+        rs = self.rs
+        if rs is not other.rs and rs != other.rs:
             raise ValueError("elements of different Weyl groups")
-        return WeylElt(self.rs, _matmul(self.mat, other.mat), _matmul(other.inv, self.inv))
+        if self.root is not None:
+            return WeylElt(rs, _reflect(other.vec, self.root, rs.coroots[self.root]))
+        return WeylElt(rs, self.act(other.vec))
 
     def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, self.inv, self.mat)
+        return WeylElt(self.rs, self.act_inv(self.rs.two_rho), self.root)
 
     @cached_property
-    def _heights(self) -> tuple[int, ...]:
-        """ht(w^{-1}(alpha_j)) for each j: the column sums of ``inv``."""
-        return tuple(map(sum, zip(*self.inv)))
+    def _pairings(self) -> tuple[int, ...]:
+        """(alpha_i, vec) for each i; negative exactly at the left descents."""
+        v = self.vec
+        return tuple([sum(map(mul, row, v)) for row in self.rs.gram])
+
+    @cached_property
+    def _word(self) -> tuple[int, ...]:
+        """The smallest left descent i, then the canonical word of s_i w."""
+        rs = self.rs
+        p = self._pairings
+        letters = []
+        while True:
+            i = next((i for i, x in enumerate(p) if x < 0), None)
+            if i is None:
+                return tuple(letters)
+            letters.append(i + 1)
+            p = _descend(rs, p, i)
 
     @property
     def is_identity(self) -> bool:
-        return not any(h < 0 for h in self._heights)
+        return self.vec == self.rs.two_rho
 
     @cached_property
     def length(self) -> int:
-        """Number of positive roots sent to negative roots by the inverse.
+        """Number of positive roots beta with (beta, vec) < 0.
 
-        A root is negative exactly when its height is, and the height of
-        w^{-1}(beta) is sum_j beta_j ht(w^{-1}(alpha_j)).
+        (beta, w(2 rho)) = (w^{-1}(beta), 2 rho) is negative exactly when
+        w^{-1} sends beta to a negative root, and (beta, vec) is
+        sum_j beta_j (alpha_j, vec).
         """
-        hts = self._heights
-        return sum(1 for beta in self.rs.pos_roots if sum(map(mul, beta, hts)) < 0)
+        p = self._pairings
+        return sum([sum(map(mul, beta, p)) < 0 for beta in self.rs.pos_roots])
 
     def left_descents(self) -> list[int]:
         """Simple indices i with length(s_i * w) < length(w), ascending.
 
-        i is a left descent exactly when w^{-1}(alpha_i) is a negative root.
+        i is a left descent exactly when w^{-1}(alpha_i) is a negative root,
+        that is when (alpha_i, vec) < 0.
         """
-        return [j + 1 for j, h in enumerate(self._heights) if h < 0]
+        return [i + 1 for i, x in enumerate(self._pairings) if x < 0]
 
     def __repr__(self) -> str:
         if self.is_identity:
             return "WeylElt(e)"
-        return "WeylElt(" + "".join(f"s{i}" for i in canonical_word(self)) + ")"
+        return "WeylElt(" + "".join(f"s{i}" for i in self._word) + ")"
 
 
 def identity(rs: RootSystem) -> WeylElt:
-    m = _ident(rs.rank)
-    return WeylElt(rs, m, m)
+    return WeylElt(rs, rs.two_rho)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     if not 1 <= i <= rs.rank:
         raise BadIndex(f"simple index {i} is not in 1..{rs.rank}")
-    m = rs.root_reflections[rs.simple(i)]
-    return WeylElt(rs, m, m)
+    # <2 rho, alpha_i^vee> = 2, so s_i(2 rho) = 2 rho - 2 alpha_i
+    vec = list(rs.two_rho)
+    vec[i - 1] -= 2
+    return WeylElt(rs, tuple(vec), rs.simple(i))
 
 
 def from_word(rs: RootSystem, letters) -> WeylElt:
     w = identity(rs)
-    for i in letters:
-        w = w * simple_reflection(rs, i)
+    for i in reversed(tuple(letters)):
+        w = simple_reflection(rs, i) * w
     return w
 
 
 def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
     """The reflection in the hyperplane of a (positive or negative) root."""
-    m = rs.root_reflections.get(beta)
-    if m is None:
+    coroot = rs.coroots.get(beta)
+    if coroot is None:
         raise ValueError(f"{beta} is not a root")
-    return WeylElt(rs, m, m)
+    return WeylElt(rs, _reflect(rs.two_rho, beta, coroot), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +228,12 @@ def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
 class ReducedWord:
     """A reduced word, validated at construction.
 
-    ``element`` is the product s_{i_1} ... s_{i_t} and ``roots`` are the
-    beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}); both come from one pass
-    over the letters.  A word that is not reduced raises NotReduced.
+    ``roots`` are the beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), each
+    found by reflecting a simple root, and ``element`` is the product
+    s_{i_1} ... s_{i_t}, read off the roots: the prefix s_{i_1} ...
+    s_{i_{k-1}} sends 2 rho - s_{i_k}(2 rho) = 2 alpha_{i_k} to 2 beta_k, so
+    the telescoping sum gives w(2 rho) = 2 rho - 2 (beta_1 + ... + beta_t).
+    A word that is not reduced raises NotReduced.
     """
 
     rs: RootSystem
@@ -169,16 +243,23 @@ class ReducedWord:
 
     def __post_init__(self):
         rs = self.rs
-        prefix = identity(rs)
-        roots = []
-        for i in self.letters:
+        cartan = rs.cartan
+        letters = self.letters
+        for i in letters:
             if not 1 <= i <= rs.rank:
                 raise NotReduced(f"letter {i} out of range")
-            roots.append(prefix.act(rs.simple(i)))
-            prefix = prefix * simple_reflection(rs, i)
-        if prefix.length != len(self.letters):
-            raise NotReduced(f"word {self.letters} is not reduced")
-        object.__setattr__(self, "element", prefix)
+        roots = []
+        vec = rs.two_rho
+        for k, i in enumerate(letters):
+            beta = list(rs.simple(i))
+            for j in reversed(letters[:k]):
+                beta[j - 1] -= sum(map(mul, cartan[j - 1], beta))
+            roots.append(tuple(beta))
+            vec = tuple(x - 2 * b for x, b in zip(vec, beta))
+        element = WeylElt(rs, vec)
+        if element.length != len(letters):
+            raise NotReduced(f"word {letters} is not reduced")
+        object.__setattr__(self, "element", element)
         object.__setattr__(self, "roots", tuple(roots))
 
     def __len__(self) -> int:
@@ -186,54 +267,59 @@ class ReducedWord:
 
 
 def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
-    """Positive roots made negative by w^{-1}, in canonical root order."""
-    out = []
-    for beta in w.rs.pos_roots:
-        if all(x <= 0 for x in w.act_inv(beta)):
-            out.append(beta)
-    return tuple(out)
+    """Positive roots made negative by w^{-1}, in canonical root order.
+
+    They are the beta > 0 with (beta, w(2 rho)) < 0.
+    """
+    p = w._pairings
+    return tuple(beta for beta in w.rs.pos_roots if sum(map(mul, beta, p)) < 0)
 
 
 def canonical_word(w: WeylElt) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word (greedy smallest descent)."""
-    letters = []
-    x = w
-    while not x.is_identity:
-        i = x.left_descents()[0]
-        letters.append(i)
-        x = simple_reflection(x.rs, i) * x
-    return tuple(letters)
+    """Lexicographically smallest reduced word (greedy smallest descent).
+
+    Computed once per element and kept on it.
+    """
+    return w._word
 
 
 def all_reduced_words(w: WeylElt) -> list[tuple[int, ...]]:
-    """Every reduced word of w, in lexicographic order."""
-    if w.is_identity:
-        return [()]
-    out = []
-    for i in w.left_descents():
-        tail = all_reduced_words(simple_reflection(w.rs, i) * w)
-        out.extend((i,) + t for t in tail)
-    return out
+    """Every reduced word of w, in lexicographic order.
+
+    A reduced word is a left descent i followed by a reduced word of
+    s_i w; the walk runs on the pairings (alpha_j, w(2 rho)).
+    """
+    rs = w.rs
+
+    def words(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+        descents = [i for i, x in enumerate(p) if x < 0]
+        if not descents:
+            return [()]
+        return [(i + 1,) + t for i in descents for t in words(_descend(rs, p, i))]
+
+    return words(w._pairings)
 
 
 def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
     """All group elements, sorted by (length, canonical word).
 
-    Built on the first call and kept on the root system.
+    Enumerated by left multiplication by the simple reflections, with
+    duplicates found by the orbit vector.  Built on the first call and kept
+    on the root system.
     """
     if rs._weyl_group is not None:
         return rs._weyl_group
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    seen = {identity(rs).mat: identity(rs)}
-    frontier = [identity(rs)]
+    seen = {identity(rs)}
+    frontier = list(seen)
     while frontier:
         w = frontier.pop()
         for s in gens:
-            nxt = w * s
-            if nxt.mat not in seen:
-                seen[nxt.mat] = nxt
+            nxt = s * w
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
-    group = tuple(sorted(seen.values(), key=lambda w: (w.length, canonical_word(w))))
+    group = tuple(sorted(seen, key=lambda w: (w.length, canonical_word(w))))
     object.__setattr__(rs, "_weyl_group", group)
     return group
 
@@ -245,20 +331,27 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
 def bruhat_le(u: WeylElt, v: WeylElt) -> bool:
     """Bruhat order via the lifting property.
 
-    Walk down a reduced word of v from the left; at each letter follow u
-    downward when the letter is a left descent of u as well (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, Prop. 2.2.7).
+    Walk down a reduced word of v from the left, the canonical word that v
+    keeps; at each letter follow u downward when the letter is a left
+    descent of u as well (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    Prop. 2.2.7).  u walks on its pairings (alpha_i, u(2 rho)), and each of
+    its steps lowers its length by exactly one.
     """
-    while True:
-        if u.is_identity:
+    rs = u.rs
+    if rs is not v.rs and rs != v.rs:
+        raise ValueError("elements of different Weyl groups")
+    lu = u.length
+    pu = u._pairings
+    word = v._word
+    for step, i in enumerate(word):
+        if not lu:
             return True
-        if u.length > v.length:
+        if lu > len(word) - step:
             return False
-        i = v.left_descents()[0]
-        s = simple_reflection(v.rs, i)
-        v = s * v
-        if i in u.left_descents():
-            u = s * u
+        if pu[i - 1] < 0:
+            pu = _descend(rs, pu, i - 1)
+            lu -= 1
+    return not lu
 
 
 def weyl_bruhat_equiv(u: WeylElt, beta: Vec) -> tuple[bool, bool, bool]:
@@ -325,23 +418,19 @@ def lemma12_step(w: WeylElt, alpha: Vec, beta: Vec, gamma: Vec) -> tuple[Vec, Ve
     if ab == 0 and ag == 0:
         raise NoNonorthogonalPair("alpha is orthogonal to both beta and gamma")
 
+    def product(a: Vec, b: Vec, g: Vec) -> WeylElt:
+        # grouped from the right, so each product has a reflection on the left
+        return reflection_of_root(rs, a) * (reflection_of_root(rs, b) * reflection_of_root(rs, g))
+
+    lhs = product(alpha, beta, gamma)
+
     def valid(a2: Vec, b2: Vec, g2: Vec) -> tuple[Vec, Vec, Vec] | None:
         a2 = _as_positive_root(rs, a2)
         b2 = _as_positive_root(rs, b2)
         g2 = _as_positive_root(rs, g2)
         if bilinear(rs, b2, g2) == 0:
             return None
-        lhs = (
-            reflection_of_root(rs, alpha)
-            * reflection_of_root(rs, beta)
-            * reflection_of_root(rs, gamma)
-        )
-        rhs = (
-            reflection_of_root(rs, a2)
-            * reflection_of_root(rs, b2)
-            * reflection_of_root(rs, g2)
-        )
-        if lhs.mat != rhs.mat:
+        if product(a2, b2, g2) != lhs:
             return None
         try:
             validate_chain(w, (g2, b2, a2))

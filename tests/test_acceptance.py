@@ -131,3 +131,14 @@ def test_11_rank3_w0_suites():
     for label in ("A3", "B3", "C3"):
         assert any(c.name.startswith(label) and "ls_relation" in c.name for c in checks)
     assert elapsed < 40.0, f"{elapsed:.1f}s"
+
+
+def test_12_rank4_strata():
+    t0 = time.perf_counter()
+    checks = suite_strata(build_root_system("A4"), "A4")
+    elapsed = time.perf_counter() - t0
+    _assert_all(checks)
+    assert any(c.name.startswith("A4: kappa is an order-reversing") for c in checks)
+    # every reduced word of every A4 element (3,061 words); measured 2.5-3.8 s
+    # on a 2-core x86-64 host, and the budget is about twice that
+    assert elapsed < 7.0, f"{elapsed:.1f}s"

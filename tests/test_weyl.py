@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -351,9 +352,93 @@ def test_fast_weyl_paths_match_the_direct_definitions(label):
 
 def test_reflection_table_is_owned_by_its_root_system():
     rs = build_root_system("B3")
-    table = rs.root_reflections
-    assert rs.root_reflections is table
+    # the coroot table is built on first use, not by build_root_system
+    assert "coroots" not in vars(rs)
+    table = rs.coroots
+    assert rs.coroots is table
     assert len(table) == 2 * len(rs.pos_roots)
     other = build_root_system("B3")
-    assert other.root_reflections is not table
-    assert other.root_reflections == table
+    assert other.coroots is not table
+    assert other.coroots == table
+    for i in range(1, rs.rank + 1):
+        assert table[rs.simple(i)] == rs.cartan[i - 1]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the matrix representation
+
+
+def _matmul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _apply(m, v):
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def _is_negative(v):
+    return all(x <= 0 for x in v)
+
+
+def _matrix_oracle(rs):
+    """Every group element as (word, matrix, inverse matrix), by products of
+    the reflection matrices alone: a breadth-first search over the matrices
+    from the identity, right multiplying by each simple reflection, so each
+    word found is a shortest one."""
+    n = rs.rank
+    ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    gens = [_cartan_reflection(rs, rs.simple(i)) for i in range(1, n + 1)]
+    found = {ident: ((), ident)}
+    queue = [ident]
+    for m in queue:
+        word, inv = found[m]
+        for i, s in enumerate(gens, start=1):
+            nxt = _matmul(m, s)
+            if nxt not in found:
+                found[nxt] = (word + (i,), _matmul(s, inv))
+                queue.append(nxt)
+    return [(word, m, inv) for m, (word, inv) in found.items()]
+
+
+@pytest.mark.parametrize("label", ("A3", "B3", "C3", "G2", "D4"))
+def test_orbit_vector_elements_match_the_matrix_oracle(label):
+    rs = build_root_system(label)
+    oracle = _matrix_oracle(rs)
+    by_mat = {m: from_word(rs, word) for word, m, _ in oracle}
+    reflections = {
+        root: _cartan_reflection(rs, beta)
+        for beta in rs.pos_roots
+        for root in (beta, tuple(-c for c in beta))
+    }
+
+    def same(x, m):
+        # x is the element whose oracle matrix is m: equal, with equal hashes
+        y = by_mat[m]
+        assert x == y and hash(x) == hash(y)
+        assert x.mat == m
+
+    for word, m, inv in oracle:
+        w = by_mat[m]
+        assert w.mat == m and w.inv == inv
+        assert w.length == sum(_is_negative(_apply(inv, b)) for b in rs.pos_roots) == len(word)
+        assert w.left_descents() == [
+            i for i in range(1, rs.rank + 1) if _is_negative(_apply(inv, rs.simple(i)))
+        ]
+        for i in range(1, rs.rank + 1):
+            same(simple_reflection(rs, i) * w, _matmul(reflections[rs.simple(i)], m))
+        for root, r in reflections.items():
+            same(reflection_of_root(rs, root) * w, _matmul(r, m))
+
+    rng = random.Random(12)
+    for _ in range(500):
+        (_, mu, inv_u), (_, mv, _) = rng.choice(oracle), rng.choice(oracle)
+        u, v = by_mat[mu], by_mat[mv]
+        same(u * v, _matmul(mu, mv))
+        same(u.inverse(), inv_u)
+        assert (u == v) == (mu == mv)
+
+    # last, as a wrong reflection makes the enumeration run without end
+    group = weyl_group(rs)
+    assert len(group) == len(oracle) == len({w.vec for w in group})
+    assert set(group) == set(by_mat.values())
