@@ -514,8 +514,9 @@ def suite_weyl(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
             dead = False
             for _ in range(m):
                 shorter = x.length - 1
+                # only a root in the inversion set of x, (beta, x(2 rho)) < 0, can shorten x
                 opts = [
-                    b for b in rs.pos_roots if (reflection_of_root(rs, b) * x).length == shorter
+                    b for b in inversion_set(x) if (reflection_of_root(rs, b) * x).length == shorter
                 ]
                 if not opts:
                     dead = True

@@ -86,6 +86,7 @@ class UAlgebra:
         self._zero_vec = (0,) * rs.rank
         self._ef: dict[tuple[Word, int], dict[Key, QRat]] = {}
         self._tgen: dict[tuple[int, str, int, bool], UElt] = {}
+        self._root_vectors: dict[Word, tuple[UElt, ...]] = {}  # word letters -> its root vectors
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
         self._span_cache: dict = {}  # (generators, height) -> hopf._GeneratedSpan, last one only
@@ -270,17 +271,24 @@ def lusztig_T(alg: UAlgebra, a: int, x: UElt, inverse: bool = False) -> UElt:
 def root_vectors(alg: UAlgebra, word: ReducedWord) -> list[UElt]:
     """The root vectors E_{beta_1}, ..., E_{beta_t} of a reduced word.
 
-    E_{beta_i} applies the symmetries of the first i-1 letters to the
-    i-th simple generator; each result lies in the positive part and is
-    homogeneous of weight beta_i.
+    E_{beta_k} = T_{i_1} ... T_{i_{k-1}}(E_{i_k}), built by the recursion
+    E_{beta_1} = E_{i_1}, E_{beta_{k+1}} = T_{i_1}(E'_{beta_k}), where the
+    E'_{beta_k} are the root vectors of the suffix word i_2 ... i_t.  The
+    vectors of every suffix are kept on the algebra, keyed by its
+    letters; each result lies in the positive part and is homogeneous of
+    weight beta_k.
     """
     if word.rs is not alg.rs and word.rs != alg.rs:
         raise NotReduced("word belongs to a different root system")
     letters = word.letters
-    out = []
-    for idx in range(len(letters)):
-        x = alg.E(letters[idx])
-        for j in range(idx - 1, -1, -1):
-            x = lusztig_T(alg, letters[j], x)
-        out.append(x)
-    return out
+    cache = alg._root_vectors
+    vectors: tuple[UElt, ...] = ()
+    for start in range(len(letters) - 1, -1, -1):
+        suffix = letters[start:]
+        cached = cache.get(suffix)
+        if cached is None:
+            a = letters[start]
+            cached = (alg.E(a),) + tuple(lusztig_T(alg, a, x) for x in vectors)
+            cache[suffix] = cached
+        vectors = cached
+    return list(vectors)

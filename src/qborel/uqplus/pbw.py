@@ -171,6 +171,14 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
     monomials supported strictly between i and j, of weight
     beta_i + beta_j; this shape is asserted by the test suite rather
     than assumed here.
+
+    For i >= 2 the pair is the pair (1, j-i+1) of the suffix word
+    i_i ... i_t, with i-1 zero exponents put in front: T_{i_1} ...
+    T_{i_{i-1}} is an algebra automorphism sending the suffix's root
+    vectors, and so its PBW monomials, to those of the word, the form is
+    W-invariant, and PBW expansions are unique.  The suffix pair's weight
+    can lie above beta_i + beta_j, so a pair whose suffix weight passes
+    the height bound is expanded on the word itself.
     """
     t = len(word.letters)
     if not (1 <= i < j <= t):
@@ -179,11 +187,19 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
     cached = data._ls.get((i, j))
     if cached is not None:
         return cached
-    ei = data.free_vectors[i - 1]
-    ej = data.free_vectors[j - 1]
-    scal = qpow(bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1]))
-    lhs = ei * ej - (ej * ei).scale(scal)
-    out = pbw_expand(alg, word, lhs)
+    out = None
+    if i > 1:
+        suffix = ReducedWord(alg.rs, word.letters[i - 1:])
+        m = j - i + 1
+        if sum(suffix.roots[0]) + sum(suffix.roots[m - 1]) <= alg.nf.height_bound:
+            pad = (0,) * (i - 1)
+            rel = ls_relation(alg, suffix, 1, m)
+            out = PBWVec(word, {pad + a: c for a, c in rel.terms.items()})
+    if out is None:
+        ei = data.free_vectors[i - 1]
+        ej = data.free_vectors[j - 1]
+        scal = qpow(bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1]))
+        out = pbw_expand(alg, word, ei * ej - (ej * ei).scale(scal))
     data._ls[(i, j)] = out
     return out
 

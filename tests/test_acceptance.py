@@ -142,3 +142,14 @@ def test_12_rank4_strata():
     # every reduced word of every A4 element (3,061 words); measured 2.5-3.8 s
     # on a 2-core x86-64 host, and the budget is about twice that
     assert elapsed < 7.0, f"{elapsed:.1f}s"
+
+
+def test_13_rank4_ls():
+    t0 = time.perf_counter()
+    checks = suite_ls(build_root_system("D4"), "D4")
+    elapsed = time.perf_counter() - t0
+    _assert_all(checks)
+    assert any(c.detail == "3424 pairs" for c in checks)
+    # every pair of the canonical word of every D4 element; measured
+    # 2.3-2.4 s on a 2-core x86-64 host, and the budget is about twice that
+    assert elapsed < 5.0, f"{elapsed:.1f}s"

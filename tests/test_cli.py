@@ -221,6 +221,18 @@ def test_height_overflow_names_the_default_bound(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "A3", "--word", "1,3,2,1", "2", "4"),
+    ("--type", "B3", "--word", "1,3,2,1,2", "2", "5"),
+])
+def test_ls_pair_that_fits_the_height_exits_0(capsys, argv):
+    # beta_i + beta_j fits the height, the suffix pair (1, j-i+1) does not
+    height = "3" if argv[1] == "A3" else "4"
+    code, out, err = run(capsys, "ls", "--height", height, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, "ls", *argv) == (0, out, "")
+
+
 # sha256 of stdout for one cheap invocation of each subcommand, and for
 # `verify --suite all`, whose suites share one algebra; output is
 # byte-stable, so a changed digest is a changed result or format

@@ -5,6 +5,7 @@ import pytest
 from qborel.coeffs import ONE, qpow
 from qborel.rootsys import bilinear, build_root_system, reflect, vec_neg
 from qborel.uqplus.free import FreeElt, serre_relation
+from qborel.uqplus import full
 from qborel.uqplus.full import UAlgebra, lusztig_T, root_vectors, u_normal_form
 from qborel.weyl import ReducedWord, canonical_word, weyl_group
 
@@ -126,6 +127,31 @@ def test_root_vectors_a2():
     rv = root_vectors(ALG, word)
     assert [x.as_free().homogeneous_weight(2) for x in rv] == [(1, 0), (1, 1), (0, 1)]
     assert rv[0] == ALG.E(1)
+
+
+def test_root_vectors_are_kept_by_suffix(monkeypatch):
+    calls = []
+
+    def counting_T(alg, a, x, inverse=False):
+        calls.append(a)
+        return lusztig_T(alg, a, x, inverse)
+
+    monkeypatch.setattr(full, "lusztig_T", counting_T)
+    rs = build_root_system("B3")
+    alg = UAlgebra(rs)
+    word = ReducedWord(rs, (1, 2, 1, 3, 2, 1, 3, 2, 3))
+    rv = root_vectors(alg, word)
+    # one T per (suffix, position) pair, 8 + 7 + ... + 1
+    assert len(calls) == 36
+    assert set(alg._root_vectors) == {word.letters[k:] for k in range(9)}
+    # the suffix's vectors are the word's, each with T_{i_1} taken off
+    assert root_vectors(alg, ReducedWord(rs, word.letters[1:])) == [
+        lusztig_T(alg, 1, x, inverse=True) for x in rv[1:]
+    ]
+    assert len(calls) == 36
+    # a new first letter costs one T per vector of the suffix it shares
+    root_vectors(alg, ReducedWord(rs, (1,) + word.letters[4:]))
+    assert len(calls) == 36 + 5
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])

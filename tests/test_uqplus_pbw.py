@@ -1,15 +1,16 @@
 """PBW bases, straightening relations, characters and polynomial quotients."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from qborel.coeffs import ONE, ZERO, parse
-from qborel.errors import BadIndex, NotInSubalgebra
-from qborel.rootsys import build_root_system
+from qborel.coeffs import ONE, ZERO, parse, qpow
+from qborel.errors import BadIndex, HeightOverflow, NotInSubalgebra
+from qborel.rootsys import bilinear, build_root_system
 from qborel.strata import Stratum, character, enumerate_Tw, theta_set
 from qborel.uqplus.free import FreeElt, kostant_dim
-from qborel.uqplus.full import UAlgebra
+from qborel.uqplus.full import UAlgebra, lusztig_T
 from qborel.uqplus.linalg import SpanSolver
 from qborel.uqplus.pbw import (
     char_eval,
@@ -21,7 +22,7 @@ from qborel.uqplus.pbw import (
     pbw_expand,
     quotient_is_commutative_polynomial,
 )
-from qborel.weyl import ReducedWord, canonical_word, weyl_group
+from qborel.weyl import ReducedWord, all_reduced_words, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
 ALG_A = UAlgebra(A2)
@@ -92,6 +93,87 @@ def test_ls_shape(label):
             for a in rel.terms:
                 assert all(e == 0 for e in a[:i]), (label, i, j, a)
                 assert all(e == 0 for e in a[j - 1:]), (label, i, j, a)
+
+
+def _t_chain_root_vectors(alg, word):
+    """E_{beta_k} = T_{i_1}(T_{i_2}(... T_{i_{k-1}}(E_{i_k}))), applied right to left."""
+    out = []
+    for k, a in enumerate(word.letters):
+        x = alg.E(a)
+        for b in reversed(word.letters[:k]):
+            x = lusztig_T(alg, b, x)
+        out.append(x.as_free())
+    return out
+
+
+def _direct_ls(alg, word, vectors, i, j):
+    """pbw_expand of E_i E_j - q^(beta_i, beta_j) E_j E_i, on the word itself."""
+    ei, ej = vectors[i - 1], vectors[j - 1]
+    scal = qpow(bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1]))
+    return pbw_expand(alg, word, ei * ej - (ej * ei).scale(scal))
+
+
+def _oracle_words(label):
+    """Every reduced word of w0 in rank 2 and A3; three seeded ones in B3 and C3."""
+    rs = build_root_system(label)
+    w0 = max(weyl_group(rs), key=lambda g: g.length)
+    words = sorted(all_reduced_words(w0))
+    if label in ("B3", "C3"):
+        words = random.Random(13).sample(words, 3)
+    return [ReducedWord(rs, letters) for letters in words]
+
+
+ORACLE_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_root_vectors_match_the_t_chain(label):
+    alg = UAlgebra(build_root_system(label))
+    for word in _oracle_words(label):
+        got = pbw_data(alg, word).free_vectors
+        assert list(got) == _t_chain_root_vectors(alg, word), word.letters
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_ls_relation_matches_the_direct_expansion(label):
+    # pairs with i >= 2 come from the suffix word; the oracle never leaves the word
+    alg = UAlgebra(build_root_system(label))
+    for word in _oracle_words(label):
+        vectors = _t_chain_root_vectors(alg, word)
+        t = len(word.letters)
+        for i, j in combinations(range(1, t + 1), 2):
+            got = ls_relation(alg, word, i, j)
+            want = _direct_ls(alg, word, vectors, i, j)
+            assert got == want, (label, word.letters, i, j)
+            assert got.render() == want.render()
+
+
+@pytest.mark.parametrize("label,height", [("A3", 3), ("B3", 4), ("C3", 3)])
+def test_ls_relation_under_an_explicit_height(label, height):
+    # a pair whose direct expansion fits the height must come out of
+    # ls_relation too, also where its suffix pair lies above the height
+    rs = build_root_system(label)
+    guarded = 0
+    for g in weyl_group(rs):
+        for letters in all_reduced_words(g):
+            word = ReducedWord(rs, letters)
+            alg = UAlgebra(rs, height)
+            try:
+                vectors = _t_chain_root_vectors(alg, word)
+            except HeightOverflow:
+                continue
+            for i, j in combinations(range(1, len(letters) + 1), 2):
+                if sum(word.roots[i - 1]) + sum(word.roots[j - 1]) > height:
+                    continue
+                try:
+                    want = _direct_ls(alg, word, vectors, i, j)
+                except HeightOverflow:
+                    continue
+                assert ls_relation(alg, word, i, j) == want, (letters, i, j)
+                suffix = ReducedWord(rs, letters[i - 1:])
+                if i > 1 and 1 + sum(suffix.roots[j - i]) > height:
+                    guarded += 1
+    assert guarded > 0
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
