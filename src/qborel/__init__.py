@@ -25,7 +25,6 @@ from .strata import (
     max_admissible_lattice,
     theta_set,
     validate_triple,
-    w_theta,
 )
 from .weyl import (
     ReducedWord,
@@ -56,7 +55,6 @@ __all__ = [
     "normalize_reflection_sequence",
     "ThetaSet",
     "theta_set",
-    "w_theta",
     "enumerate_Tw",
     "kappa",
     "kappa_inverse",

@@ -39,11 +39,9 @@ from .weyl import (
     all_reduced_words,
     bruhat_le,
     canonical_word,
-    identity,
     inversion_set,
     normalize_reflection_sequence,
     reflection_of_root,
-    simple_reflection,
     weyl_bruhat_equiv,
     weyl_group,
 )
@@ -127,14 +125,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 
 def _longest_element(rs: RootSystem) -> WeylElt:
-    """Climb from the identity by the smallest ascent until every letter is a descent."""
-    w = identity(rs)
-    while True:
-        descents = w.left_descents()
-        i = next((i for i in range(1, rs.rank + 1) if i not in descents), None)
-        if i is None:
-            return w
-        w = simple_reflection(rs, i) * w
+    """w0, the one element that sends 2 rho to -2 rho."""
+    return WeylElt(rs, vec_neg(rs.two_rho))
 
 
 def _parse_word(rs: RootSystem, text: str) -> ReducedWord:

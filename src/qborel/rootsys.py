@@ -224,9 +224,6 @@ class RootSystem:
             raise NotInPositiveCone(f"no simple root with index {i}")
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def is_root(self, v: Vec) -> bool:
-        return v in self.pos_root_set or vec_neg(v) in self.pos_root_set
-
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.pos_roots)})"
 

@@ -5,10 +5,10 @@ inversion roots beta_1..beta_t carry a poset T^w of pairwise orthogonal
 subsets Theta satisfying the length condition l(w_Theta) = l(w) - |Theta|.
 These subsets index the character strata of the algebra attached to w;
 kappa sends Theta to w_Theta and is an order reversing bijection onto
-W^w.  Each ThetaSet computes and checks its w_Theta once, when it is
-built, and kappa and the strata read it from there.  The classify entry
-point assembles the whole table, together with the maximal admissible
-lattice of each stratum.
+W^w.  Each ThetaSet is certified by one admissibility step from the set
+one index smaller and carries its w_Theta, which kappa and the strata
+read from there.  The classify entry point assembles the whole table,
+together with the maximal admissible lattice of each stratum.
 """
 
 from __future__ import annotations
@@ -23,33 +23,16 @@ from .rootsys import LatticeSubgroup, Vec, bilinear, orthogonal_complement_latti
 from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of_root
 
 
-def w_theta(w: WeylElt, roots) -> WeylElt:
-    """(prod of s_beta over the given roots) * w.
-
-    The roots must be pairwise orthogonal, so the reflections commute and
-    the product needs no ordering convention.
-    """
-    rs = w.rs
-    rts = tuple(roots)
-    for a in range(len(rts)):
-        for b in range(a + 1, len(rts)):
-            if bilinear(rs, rts[a], rts[b]) != 0:
-                raise NotOrthogonal(f"roots {rts[a]} and {rts[b]} are not orthogonal")
-    y = w
-    for beta in rts:
-        y = reflection_of_root(rs, beta) * y
-    return y
-
-
 @dataclass(frozen=True)
 class ThetaSet:
     """An admissible orthogonal subset of the inversion roots of a word.
 
     indices are 1-based positions into word.roots, strictly increasing.
-    Construction derives w = word.element, the selected roots and
-    y = w_Theta once, and checks orthogonality and the length condition
-    l(y) = l(w) - |Theta|, so a ThetaSet is a certificate of membership
-    in T^w and carries its image under kappa.
+    A ThetaSet is a certificate of membership in T^w and carries
+    w = word.element, the selected roots and its image y = w_Theta under
+    kappa.  It is certified one index at a time by the admissibility step
+    of ``extend``; construction folds that step over the indices, from the
+    empty set, whose w_Theta is w.
     """
 
     word: ReducedWord
@@ -65,16 +48,48 @@ class ThetaSet:
         if any(not 1 <= i <= len(betas) for i in self.indices):
             raise ValueError("index out of range for the word")
         w = self.word.element
-        roots = tuple(betas[i - 1] for i in self.indices)
-        y = w_theta(w, roots)
-        if y.length != w.length - len(roots):
-            raise ValueError(f"subset {self.indices} fails the length condition")
+        th = _certified(self.word, (), w, (), w)
+        for k in self.indices:
+            th = th.extend(k)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "roots", th.roots)
+        object.__setattr__(self, "y", th.y)
+
+    def extend(self, k: int) -> "ThetaSet":
+        """Theta + {k}, for an index k above every index of Theta.
+
+        The admissibility step: beta_k is orthogonal to the roots of
+        Theta, and s_{beta_k} lowers w_Theta by exactly one.  The
+        reflections of an orthogonal set commute, so s_{beta_k} w_Theta is
+        the new w_Theta.  A reflection changes the length by an odd amount
+        and T^w is closed under subsets, so the steps over a set all hold
+        exactly when l(w_Theta) = l(w) - |Theta| and Theta is orthogonal.
+        Raises NotOrthogonal or ValueError; self is not checked again.
+        """
+        betas = self.word.roots
+        if not (self.indices[-1] if self.indices else 0) < k <= len(betas):
+            raise ValueError(f"index {k} is not above {self.indices} within the word")
+        rs = self.w.rs
+        beta = betas[k - 1]
+        for other in self.roots:
+            if bilinear(rs, other, beta) != 0:
+                raise NotOrthogonal(f"roots {other} and {beta} are not orthogonal")
+        y = reflection_of_root(rs, beta) * self.y
+        indices = self.indices + (k,)
+        if y.length != self.y.length - 1:
+            raise ValueError(f"subset {indices} fails the length condition")
+        return _certified(self.word, indices, self.w, self.roots + (beta,), y)
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def _certified(word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> ThetaSet:
+    """A ThetaSet whose certificate the caller has already checked."""
+    th = object.__new__(ThetaSet)
+    for name, value in zip(("word", "indices", "w", "roots", "y"), (word, indices, w, roots, y)):
+        object.__setattr__(th, name, value)
+    return th
 
 
 def theta_set(word: ReducedWord, indices) -> ThetaSet:
@@ -84,27 +99,21 @@ def theta_set(word: ReducedWord, indices) -> ThetaSet:
 def enumerate_Tw(word: ReducedWord) -> list[ThetaSet]:
     """All admissible subsets, smallest first.
 
-    Grown incrementally: every member arises by appending its largest
-    index to another member (subset closure), so the search never looks
-    at a subset whose proper prefix already failed.  The reflections of
-    an orthogonal set commute, so a candidate's w_Theta is its parent's
-    times one reflection, and only the members are built as ThetaSets.
+    Grown breadth first: T^w is closed under subsets, so every member
+    is another member extended by its largest index, and each member is
+    certified once, by that one step from its parent.
     """
-    rs = word.rs
-    betas = word.roots
-    t = len(betas)
+    t = len(word.roots)
     members = [ThetaSet(word, ())]
     pos = 0
     while pos < len(members):
         th = members[pos]
         pos += 1
-        start = th.indices[-1] + 1 if th.indices else 1
-        for k in range(start, t + 1):
-            beta_k = betas[k - 1]
-            if any(bilinear(rs, beta, beta_k) != 0 for beta in th.roots):
-                continue
-            if (reflection_of_root(rs, beta_k) * th.y).length == t - len(th) - 1:
-                members.append(ThetaSet(word, th.indices + (k,)))
+        for k in range(th.indices[-1] + 1 if th.indices else 1, t + 1):
+            try:
+                members.append(th.extend(k))
+            except (NotOrthogonal, ValueError):
+                pass
     members.sort(key=lambda th: (len(th), th.indices))
     return members
 
@@ -165,10 +174,6 @@ class CharacterData:
                 if not isinstance(val, QRat) or val == ZERO:
                     raise ValueError(f"character value at {beta} must be a nonzero QRat")
             object.__setattr__(self, "f", dict(self.f))
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.f is None
 
 
 def character(stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None) -> CharacterData:

@@ -1,7 +1,7 @@
 """Exact kernel for U^+ and U^{>=0}: normal forms, PBW bases, Hopf structure."""
 
 from .free import FreeElt, NFContext, kostant_dim, serre_relation, word_weight
-from .full import UAlgebra, UElt, lusztig_T, root_vectors, u_normal_form
+from .full import UAlgebra, UElt, lusztig_T, root_vectors
 from .hopf import (
     TensorElt,
     check_coassociativity,
@@ -34,7 +34,6 @@ __all__ = [
     "kostant_dim",
     "UElt",
     "UAlgebra",
-    "u_normal_form",
     "lusztig_T",
     "root_vectors",
     "PBWVec",

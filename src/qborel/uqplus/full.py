@@ -195,21 +195,6 @@ class UAlgebra:
         return cur
 
 
-def u_normal_form(x: UElt) -> UElt:
-    """Re-normalize an element; the identity on well-formed inputs."""
-    alg = x.alg
-    out = alg.zero()
-    for (f, k, e), c in x.terms.items():
-        term = alg.one().scale(c)
-        for j in f:
-            term = term * alg.F(j)
-        term = term * alg.K(k)
-        for i in e:
-            term = term * alg.E(i)
-        out = out + term
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Lusztig symmetries
 

@@ -101,13 +101,15 @@ class _PBWData:
         return cached
 
     def monomial(self, a: Expt) -> FreeElt:
+        """E^a: the monomial one factor lower times its rightmost root vector."""
         cached = self._monomials.get(a)
         if cached is None:
-            out = FreeElt.one()
-            for k in range(len(a) - 1, -1, -1):
-                for _ in range(a[k]):
-                    out = self.alg.nf.reduce(out * self.free_vectors[k])
-            cached = out
+            k = next((k for k, e in enumerate(a) if e), None)
+            if k is None:
+                cached = FreeElt.one()
+            else:
+                lower = a[:k] + (a[k] - 1,) + a[k + 1:]
+                cached = self.alg.nf.reduce(self.monomial(lower) * self.free_vectors[k])
             self._monomials[a] = cached
         return cached
 
@@ -213,6 +215,23 @@ def _theta_supported(a: Expt, S) -> bool:
     return all(e == 0 or k + 1 in S for k, e in enumerate(a))
 
 
+def _theta_residual(alg: UAlgebra, word: ReducedWord, i: int, j: int, S) -> dict:
+    """The theta-supported part of E_{beta_i}E_{beta_j} - E_{beta_j}E_{beta_i}.
+
+    The commutator is ls_relation(i, j) plus (q^(beta_i,beta_j) - 1)
+    E_{beta_j}E_{beta_i}.  A character supported on S, and the quotient by
+    the root vectors outside S, send every other monomial to zero, so
+    they respect the commutator exactly when this part vanishes there.
+    """
+    rel = ls_relation(alg, word, i, j)
+    resid = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
+    if i in S and j in S:
+        pair = bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1])
+        key = tuple((1 if p in (i, j) else 0) for p in range(1, len(word.letters) + 1))
+        add_term(resid, key, qpow(pair) - ONE)
+    return resid
+
+
 def _eval_terms(terms: dict, values: dict) -> QRat:
     """Sum over terms of c * prod_k values[k]^a_k; a term that uses a
     position outside values contributes zero."""
@@ -261,29 +280,11 @@ def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
         f = {k: f[k] for k in S}
         if any(v == ZERO for v in f.values()):
             raise ValueError("character values must be nonzero")
-    roots = word.roots
-    for i in range(1, t + 1):
-        for j in range(i + 1, t + 1):
-            rel = ls_relation(alg, word, i, j)
-            pair = bilinear(alg.rs, roots[i - 1], roots[j - 1])
-            if f is None:
-                lhs: dict = {}
-                if i in S and j in S:
-                    coef = ONE - qpow(pair)
-                    if coef != ZERO:
-                        key = tuple(
-                            (1 if k in (i, j) else 0) for k in range(1, t + 1)
-                        )
-                        lhs[key] = coef
-                rhs = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
-                if lhs != rhs:
-                    return False
-            else:
-                lv = ZERO
-                if i in S and j in S:
-                    lv = (ONE - qpow(pair)) * f[i] * f[j]
-                if lv != _eval_terms(rel.terms, f):
-                    return False
+    for i, j in combinations(range(1, t + 1), 2):
+        resid = _theta_residual(alg, word, i, j, S)
+        holds = not resid if f is None else _eval_terms(resid, f) == ZERO
+        if not holds:
+            return False
     return True
 
 
@@ -374,12 +375,7 @@ def quotient_is_commutative_polynomial(alg: UAlgebra, word: ReducedWord, theta) 
         raise BadIndex("theta positions out of range")
     data = pbw_data(alg, word)
     for i, j in combinations(S, 2):
-        rel = ls_relation(alg, word, i, j)
-        resid = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
-        pair = bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1])
-        key = tuple((1 if p in (i, j) else 0) for p in range(1, t + 1))
-        add_term(resid, key, qpow(pair) - ONE)
-        if resid:
+        if _theta_residual(alg, word, i, j, S):
             return False
     span = _IdealSpan(data, [m for m in range(1, t + 1) if m not in S])
     for mu in _theta_cone(data, S, alg.nf.height_bound):

@@ -79,10 +79,10 @@ def test_rho_pairing():
 
 
 def test_is_root():
-    assert A2.is_root((1, 1))
-    assert A2.is_root((-1, -1))
-    assert not A2.is_root((2, 1))
-    assert not A2.is_root((0, 0))
+    assert (1, 1) in A2.coroots
+    assert (-1, -1) in A2.coroots
+    assert (2, 1) not in A2.coroots
+    assert (0, 0) not in A2.coroots
 
 
 def test_matrix_spec_matches_named():

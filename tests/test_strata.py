@@ -22,7 +22,6 @@ from qborel.strata import (
     max_admissible_lattice,
     theta_set,
     validate_triple,
-    w_theta,
 )
 from qborel.weyl import (
     ReducedWord,
@@ -92,17 +91,26 @@ def test_a3_w0():
 
 
 def test_w_theta():
-    assert w_theta(W0_A2, ()).mat == W0_A2.mat
-    assert canonical_word(w_theta(W0_A2, ((1, 0),))) == (2, 1)
+    assert theta_set(WORD_A2, ()).y.mat == W0_A2.mat
+    th = theta_set(WORD_A2, (1,))
+    assert canonical_word(th.y) == (2, 1)
+    assert th.y.mat == (product_of_reflections(A2, th.roots) * W0_A2).mat
     with pytest.raises(NotOrthogonal):
-        w_theta(W0_A2, ((1, 0), (0, 1)))
+        theta_set(WORD_A2, (1, 3))
+    with pytest.raises(NotOrthogonal):
+        th.extend(3)
+    with pytest.raises(ValueError):
+        th.extend(1)
+    with pytest.raises(ValueError):
+        theta_set(WORD_A2, ()).extend(4)
+    assert theta_set(WORD_A2, ()).extend(3).y == theta_set(WORD_A2, (3,)).y
 
 
 def test_theta_set_certificates():
     th = theta_set(WORD_A2, (1,))
     assert th.roots == ((1, 0),)
     assert th.w.mat == W0_A2.mat
-    assert th.y.mat == w_theta(W0_A2, th.roots).mat
+    assert th.y.mat == (product_of_reflections(A2, th.roots) * W0_A2).mat
     with pytest.raises(NotOrthogonal):
         theta_set(WORD_A2, (1, 2))
     with pytest.raises(ValueError):
@@ -165,12 +173,12 @@ def test_characters_and_lattices():
     strata = {st.theta.roots: st for st in enumerate_strata(WORD_A2)}
     st = strata[((1, 0),)]
     ch = character(st)
-    assert ch.is_symbolic
+    assert ch.f is None
     assert ch.stratum.theta.roots == ((1, 0),)
     assert max_admissible_lattice(ch).basis == ((1, 2),)
     assert max_admissible_lattice(character(strata[()])).basis == ((1, 0), (0, 1))
     concrete = character(st, {(1, 0): from_int(2)})
-    assert not concrete.is_symbolic
+    assert concrete.f is not None
     with pytest.raises(ValueError):
         character(st, {(0, 1): ONE})
     with pytest.raises(ValueError):
@@ -223,22 +231,51 @@ def test_stratum_of():
 
 def test_w_theta_once_per_member(monkeypatch):
     calls = []
+    real = ThetaSet.extend
 
-    def spy(w, roots):
-        calls.append(roots)
-        return w_theta(w, roots)
+    def spy(self, k):
+        th = real(self, k)
+        calls.append(th.indices)
+        assert th.y.mat == (product_of_reflections(th.w.rs, th.roots) * th.w).mat
+        return th
 
-    monkeypatch.setattr("qborel.strata.w_theta", spy)
+    monkeypatch.setattr(ThetaSet, "extend", spy)
     a3 = build_root_system("A3")
     checks = suite_strata(a3, "A3")
     assert all(c.ok for c in checks)
-    # one call per member of T^w, over every reduced word of every element
-    assert len(calls) == 301
+    # one certified step per nonempty member of T^w, over every reduced word
+    # of every element
+    assert len(calls) == 301 - 66
     assert len(calls) == sum(
-        len(brute_Tw(ReducedWord(a3, letters)))
+        len(brute_Tw(ReducedWord(a3, letters))) - 1
         for g in weyl_group(a3)
         for letters in all_reduced_words(g)
     )
+
+
+def test_enumerate_Tw_one_product_per_candidate(monkeypatch):
+    """A candidate is a member with one larger index whose root is
+    orthogonal to it: the enumeration reflects it once, and it reflects
+    nothing again to certify the members it keeps."""
+    a3 = build_root_system("A3")
+    words = [ReducedWord(a3, letters) for g in weyl_group(a3) for letters in all_reduced_words(g)]
+    candidates = 0
+    for word in words:
+        rs, betas = word.rs, word.roots
+        for combo in brute_Tw(word):
+            for k in range(combo[-1] + 1 if combo else 1, len(betas) + 1):
+                candidates += all(bilinear(rs, betas[i - 1], betas[k - 1]) == 0 for i in combo)
+    calls = [0]
+    real = WeylElt.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(WeylElt, "__mul__", counting)
+    for word in words:
+        enumerate_Tw(word)
+    assert calls[0] == candidates
 
 
 def test_suite_strata_weyl_products(monkeypatch):

@@ -192,6 +192,22 @@ def test_pbw_dims_match_kostant(label):
             assert solver.insert(dict(d.monomial(a).terms)), (label, mu, a)
 
 
+@pytest.mark.parametrize("label", ["B2", "G2", "A3"])
+def test_monomial_is_the_product_of_root_vectors(label):
+    """Each cached monomial against E_{beta_t}^{a_t} ... E_{beta_1}^{a_1}
+    multiplied out from the right, reduced after every factor."""
+    rs = build_root_system(label)
+    alg = UAlgebra(rs)
+    d = pbw_data(alg, _longest_word(rs))
+    for mu in _weights(rs.rank, alg.nf.height_bound):
+        for a in d.exponents_of_weight(mu):
+            prod = FreeElt.one()
+            for k, e in enumerate(a):
+                for _ in range(e):
+                    prod = alg.nf.reduce(d.free_vectors[k] * prod)
+            assert d.monomial(a) == prod, (label, a)
+
+
 def test_pbw_dims_g2_spot():
     rs = build_root_system("G2")
     alg = UAlgebra(rs)
