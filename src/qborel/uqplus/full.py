@@ -85,7 +85,7 @@ class UAlgebra:
         self.nf = NFContext(rs, height_bound)
         self._zero_vec = (0,) * rs.rank
         self._ef: dict[tuple[Word, int], dict[Key, QRat]] = {}
-        self._tgen: dict[tuple[int, str, int, bool], UElt] = {}
+        self._t_images: dict[tuple[int, bool, Key], UElt] = {}  # (a, inverse, term) -> its T_a-image
         self._root_vectors: dict[Word, tuple[UElt, ...]] = {}  # word letters -> its root vectors
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
@@ -204,12 +204,13 @@ def _divided_power(alg: UAlgebra, gen: UElt, n: int, d: int) -> UElt:
 
 
 def _t_generator(alg: UAlgebra, a: int, kind: str, i: int, inverse: bool) -> UElt:
-    key = (a, kind, i, inverse)
-    cached = alg._tgen.get(key)
-    if cached is not None:
-        return cached
     if kind not in ("E", "F"):
         raise ValueError(f"unknown generator kind {kind!r}")
+    zero = alg._zero_vec
+    key = (a, inverse, ((), zero, (i,)) if kind == "E" else ((i,), zero, ()))
+    cached = alg._t_images.get(key)
+    if cached is not None:
+        return cached
     rs = alg.rs
     gen, other, sign = (alg.E, alg.F, -1) if kind == "E" else (alg.F, alg.E, 1)
     # T_a on E mirrors T_a^-1 on F, and T_a^-1 on E mirrors T_a on F
@@ -232,25 +233,42 @@ def _t_generator(alg: UAlgebra, a: int, kind: str, i: int, inverse: bool) -> UEl
             lo, hi = (r - s, s) if flip else (s, r - s)
             term = _divided_power(alg, ga, lo, da) * gen(i) * _divided_power(alg, ga, hi, da)
             out = out + term.scale(coef)
-    alg._tgen[key] = out
+    alg._t_images[key] = out
     return out
+
+
+def _t_image(alg: UAlgebra, a: int, key: Key, inverse: bool) -> UElt:
+    """T_a (or its inverse) of the term F_f K_k E_e, kept on the algebra.
+
+    The image is that of the term one factor shorter times the image of
+    its last factor, so each call reuses every prefix an earlier call on
+    the algebra has seen.  It is the full product in the whole algebra.
+    """
+    cached = alg._t_images.get((a, inverse, key))
+    if cached is not None:
+        return cached
+    f, k, e = key
+    zero = alg._zero_vec
+    if e:
+        head, last = (f, k, e[:-1]), _t_generator(alg, a, "E", e[-1], inverse)
+    elif any(k):
+        head, last = (f, zero, ()), alg.K(reflect(alg.rs, alg.rs.simple(a), k))
+    elif f:
+        head, last = (f[:-1], zero, ()), _t_generator(alg, a, "F", f[-1], inverse)
+    else:
+        return alg.one()
+    img = last if head == ((), zero, ()) else _t_image(alg, a, head, inverse) * last
+    alg._t_images[(a, inverse, key)] = img
+    return img
 
 
 def lusztig_T(alg: UAlgebra, a: int, x: UElt, inverse: bool = False) -> UElt:
     """The Lusztig symmetry T_a (or its inverse) applied to x."""
     alg._check_index(a)
-    rs = alg.rs
-    out = alg.zero()
-    for (f, k, e), c in x.terms.items():
-        img = alg.one().scale(c)
-        for j in f:
-            img = img * _t_generator(alg, a, "F", j, inverse)
-        if any(k):
-            img = img * alg.K(reflect(rs, rs.simple(a), k))
-        for i in e:
-            img = img * _t_generator(alg, a, "E", i, inverse)
-        out = out + img
-    return out
+    out: dict[Key, QRat] = {}
+    for key, c in x.terms.items():
+        add_scaled(out, _t_image(alg, a, key, inverse).terms, c)
+    return UElt(alg, out)
 
 
 def root_vectors(alg: UAlgebra, word: ReducedWord) -> list[UElt]:

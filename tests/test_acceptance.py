@@ -151,5 +151,5 @@ def test_13_rank4_ls():
     _assert_all(checks)
     assert any(c.detail == "3424 pairs" for c in checks)
     # every pair of the canonical word of every D4 element; measured
-    # 2.3-2.4 s on a 2-core x86-64 host, and the budget is about twice that
-    assert elapsed < 5.0, f"{elapsed:.1f}s"
+    # 0.9-1.0 s on a 2-core x86-64 host, and the budget is about twice that
+    assert elapsed < 2.0, f"{elapsed:.1f}s"

@@ -11,6 +11,7 @@ import pytest
 import qborel
 from qborel import cli
 from qborel.cli import main
+from qborel.errors import HeightOverflow
 from qborel.weyl import weyl_group
 
 
@@ -219,6 +220,27 @@ def test_height_overflow_names_the_default_bound(capsys):
     assert err == (
         "error: weight (2, 1) exceeds the height bound 2; omit --height to use the default 6\n"
     )
+
+
+def test_height_overflow_without_height_names_no_default(capsys, monkeypatch):
+    # "omit --height" is advice only for a run that gave --height
+    def overflow(rs, label, alg):
+        raise HeightOverflow("weight (3,) exceeds the height bound 2")
+
+    monkeypatch.setitem(cli.SUITES, "hopf", overflow)
+    code, out, err = run(capsys, "verify", "--type", "A1", "--suite", "hopf")
+    assert (code, out) == (2, "")
+    assert err == "error: weight (3,) exceeds the height bound 2\n"
+
+
+def test_verify_all_on_a1_stays_inside_the_default_height(capsys):
+    # A1's default height bound is 2, below the suite_hopf samples' 4
+    code, out, err = run(capsys, "verify", "--type", "A1", "--suite", "all")
+    assert (code, err) == (0, "")
+    *checks, summary = out.splitlines()
+    assert checks and all(line.startswith("PASS ") for line in checks)
+    assert summary == f"# suite all on A1: {len(checks)}/{len(checks)} checks passed"
+    assert "A1: twisted generators pass coideal_check at h=2 (3 strata)" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """The full kernel: E, F, K normal form and the braid symmetries."""
 
+import random
+
 import pytest
 
-from qborel.coeffs import ONE, qpow
+from qborel.coeffs import ONE, from_int, qpow
 from qborel.rootsys import bilinear, build_root_system, reflect, vec_neg
 from qborel.uqplus.free import FreeElt, serre_relation
 from qborel.uqplus import full
-from qborel.uqplus.full import UAlgebra, lusztig_T, root_vectors
+from qborel.uqplus.full import UAlgebra, UElt, lusztig_T, root_vectors
 from qborel.weyl import ReducedWord, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
@@ -162,6 +164,89 @@ def test_root_vectors_are_kept_by_suffix(monkeypatch):
     # a new first letter costs one T per vector of the suffix it shares
     root_vectors(alg, ReducedWord(rs, (1,) + word.letters[4:]))
     assert len(calls) == 36 + 5
+
+
+def _termwise_T(rs, a, x, inverse):
+    """T_a of x on a fresh algebra, each term multiplied out letter by letter."""
+    alg = UAlgebra(rs, x.alg.nf.height_bound)
+    out = alg.zero()
+    for (f, k, e), c in x.terms.items():
+        img = alg.one().scale(c)
+        for j in f:
+            img = img * full._t_generator(alg, a, "F", j, inverse)
+        if any(k):
+            img = img * alg.K(reflect(rs, rs.simple(a), k))
+        for i in e:
+            img = img * full._t_generator(alg, a, "E", i, inverse)
+        out = out + img
+    return out
+
+
+def _random_elt(alg, rng):
+    """A sum of up to three terms F_f K_k E_e with words of length at most 2."""
+    n = alg.rs.rank
+    x = alg.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = alg.K(tuple(rng.randint(-2, 2) for _ in range(n)))
+        for _ in range(rng.randint(0, 2)):
+            term = alg.F(rng.randint(1, n)) * term
+        for _ in range(rng.randint(0, 2)):
+            term = term * alg.E(rng.randint(1, n))
+        x = x + term.scale(from_int(rng.randint(1, 3)) + qpow(rng.randint(-2, 2)))
+    return x
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_lusztig_T_matches_termwise_products(label):
+    # the cached prefix images against each term multiplied out on its own
+    # algebra, which shares no image with the one under test
+    rs = build_root_system(label)
+    # images of two-letter words next to T_a(F_a) = -K_a^-1 E_a pass A2's default bound 4
+    alg = UAlgebra(rs, 12)
+    rng = random.Random(15)
+    mixed = 0
+    for _ in range(12):
+        x = _random_elt(alg, rng)
+        mixed += any(f and e for f, _, e in x.terms)
+        for a in range(1, rs.rank + 1):
+            for inverse in (False, True):
+                got = lusztig_T(alg, a, x, inverse)
+                want = UElt(alg, _termwise_T(rs, a, x, inverse).terms)
+                assert got == want, (label, a, inverse, repr(x))
+                assert repr(got) == repr(want)
+    assert mixed
+
+
+def test_t_images_are_kept_per_algebra():
+    rs = build_root_system("B2")
+    one, two = UAlgebra(rs), UAlgebra(rs)
+    x = one.F(2) * one.K((1, 0)) * one.E(1) * one.E(2)
+    (key,) = x.terms
+    t1 = lusztig_T(one, 1, x)
+    assert two._t_images == {}
+    f, k, e = key
+    for prefix in [(f, (0, 0), ()), (f, k, ()), (f, k, e[:1]), key]:
+        assert (1, False, prefix) in one._t_images
+    t2 = lusztig_T(two, 1, two.F(2) * two.K((1, 0)) * two.E(1) * two.E(2))
+    assert t2.alg is two and repr(t2) == repr(t1)
+    assert one._t_images.keys() == two._t_images.keys()
+    assert all(img.alg is two for img in two._t_images.values())
+
+
+def test_root_vectors_reuse_term_prefixes(monkeypatch):
+    # each T-image of a term is its prefix's image times one generator
+    # image, so the 36 T calls of a B3 word share their products
+    calls = []
+    mul = UElt.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(UElt, "__mul__", counting_mul)
+    rs = build_root_system("B3")
+    root_vectors(UAlgebra(rs), ReducedWord(rs, (1, 2, 1, 3, 2, 1, 3, 2, 3)))
+    assert len(calls) == 152
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
