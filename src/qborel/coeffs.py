@@ -246,13 +246,6 @@ def _pgcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Gcd of integer polynomials, primitive with positive leading coeff."""
-    if not a or not b:
-        return _pprim(a or b)[0]
-    return _gcd_cofactors(_pprim(a)[0], _pprim(b)[0])[0]
-
-
 def _low(a: tuple[int, ...]) -> int:
     # order of vanishing at q = 0
     for i, x in enumerate(a):

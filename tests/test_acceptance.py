@@ -153,3 +153,14 @@ def test_13_rank4_ls():
     # every pair of the canonical word of every D4 element; measured
     # 0.9-1.0 s on a 2-core x86-64 host, and the budget is about twice that
     assert elapsed < 2.0, f"{elapsed:.1f}s"
+
+
+def test_14_rank4_enumerate():
+    t0 = time.perf_counter()
+    checks = suite_enumerate(build_root_system("C4"), "C4")
+    elapsed = time.perf_counter() - t0
+    _assert_all(checks)
+    assert any(c.name.startswith("C4: enumerate_polynomial_ideals") for c in checks)
+    # every index subset of the canonical word of w0 (2^16 subsets); measured
+    # 5.7-5.8 s on a 2-core x86-64 host, and the budget is about twice that
+    assert elapsed < 11.0, f"{elapsed:.1f}s"

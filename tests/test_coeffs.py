@@ -208,7 +208,7 @@ def test_render_parse_and_unit_properties():
 
 
 def _prs_gcd(a, b):
-    """The primitive PRS loop of ``coeffs._pgcd``, with no shortcut."""
+    """The primitive PRS loop of ``coeffs._pgcd_prs``, with no shortcut."""
     from qborel.coeffs import _pprim, _prem
 
     a, b = _pprim(a)[0], _pprim(b)[0]
@@ -224,7 +224,7 @@ def _prs_gcd(a, b):
 def test_pgcd_matches_the_prs_loop_on_monomial_operands():
     import random
 
-    from qborel.coeffs import _pgcd, _pmul
+    from qborel.coeffs import _gcd_cofactors, _pmul, _pprim
 
     rng = random.Random(20261018)
 
@@ -241,8 +241,8 @@ def test_pgcd_matches_the_prs_loop_on_monomial_operands():
             common = _pmul(common, (rng.randint(-2, 2), 1))
         a, b = operand(common), operand(common)
         monomial_pairs += not any(a[:-1]) or not any(b[:-1])
-        assert _pgcd(a, b) == _prs_gcd(a, b), (a, b)
-        assert _pgcd(b, a) == _prs_gcd(a, b), (a, b)
+        assert _gcd_cofactors(_pprim(a)[0], _pprim(b)[0])[0] == _prs_gcd(a, b), (a, b)
+        assert _gcd_cofactors(_pprim(b)[0], _pprim(a)[0])[0] == _prs_gcd(a, b), (a, b)
     assert monomial_pairs > 500
 
 
@@ -329,7 +329,7 @@ def test_gcd_cofactors_match_the_prs_loop_on_cyclotomic_products(monkeypatch):
             g, gx, gy = coeffs._gcd_cofactors(x, y)
             assert g == want, (x, y)
             assert _mul(g, gx) == x and _mul(g, gy) == y, (x, y)
-        assert coeffs._pgcd(a, b) == want
+        assert coeffs._gcd_cofactors(coeffs._pprim(a)[0], coeffs._pprim(b)[0])[0] == want
     assert nontrivial > 1000
     # on these pairs the heuristic gcd always certifies a candidate
     assert not fallbacks

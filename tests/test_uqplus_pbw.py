@@ -271,8 +271,11 @@ def test_enumerate_a2():
     assert sorted(got) == want
 
 
-def test_enumerate_b2_every_element():
-    rs = build_root_system("B2")
+@pytest.mark.parametrize("label", ["B2", "A3"])
+def test_enumerate_every_element(label):
+    # the blind search over index subsets, on the canonical word of every
+    # element; the suites run it on w0 alone from rank 3 up
+    rs = build_root_system(label)
     alg = UAlgebra(rs)
     for g in sorted(weyl_group(rs), key=lambda g: g.length):
         word = ReducedWord(rs, canonical_word(g))
