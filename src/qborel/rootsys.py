@@ -170,8 +170,8 @@ class RootSystem:
 
     It also owns the Weyl data derived from them, so that data lives and
     dies with the root system: the table of the coroot row of every root
-    (which ``weyl`` reflects vectors with), built on first use, and the
-    element list that ``weyl.weyl_group`` fills on its first call.
+    (which ``reflect`` reads), built on first use, and the element list
+    that ``weyl.weyl_group`` fills on its first call.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -324,15 +324,14 @@ def bilinear(rs: RootSystem, x, y):
     return total
 
 
-def reflect(rs: RootSystem, beta: Vec, x):
-    """Reflection of x in the hyperplane of the root beta."""
-    bb = bilinear(rs, beta, beta)
-    bx2 = 2 * bilinear(rs, beta, x)
-    coef, rem = divmod(bx2, bb)
-    if rem == 0:
-        return tuple(xi - coef * bi for xi, bi in zip(x, beta))
-    frac = Fraction(bx2, bb)
-    return tuple(xi - frac * bi for xi, bi in zip(x, beta))
+def reflect(rs: RootSystem, beta: Vec, x) -> Vec:
+    """s_beta(x) = x - <x, beta^vee> beta, with the coroot row of beta read
+    from ``rs.coroots``; ValueError if beta is not a root."""
+    coroot = rs.coroots.get(beta)
+    if coroot is None:
+        raise ValueError(f"{beta} is not a root")
+    k = sum(map(mul, coroot, x))
+    return tuple([y - k * b for y, b in zip(x, beta)])
 
 
 def height(rs: RootSystem, x: Vec) -> int:

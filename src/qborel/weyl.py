@@ -11,16 +11,15 @@ These operations are O(n) on the vector (Casselman, Machine calculations
 in Weyl groups, Invent. Math. 116, 1994):
 
 * left multiplication by a reflection, s_beta w(2 rho) = v - <v, beta^vee> beta,
-  with the coroot row <., beta^vee> of beta from the root system's table;
+  which is ``rootsys.reflect``;
 * the left descent test: i is a left descent exactly when
   (alpha_i, v) = (w^{-1}(alpha_i), 2 rho) is negative;
 * one step of a descent walk (canonical_word, all_reduced_words,
   bruhat_le), which updates the pairings (alpha_i, v) directly.
 
 The length, #{beta > 0 : (beta, v) < 0}, is counted once per element and
-kept.  The matrices ``mat`` and ``inv``, and with them ``act``,
-``act_inv`` and a product whose left factor is not a reflection, are
-derived from the canonical word on first use and kept on the element.
+kept.  ``act``, ``act_inv`` and a product whose left factor is not a
+reflection walk the canonical word one simple reflection at a time.
 
 Nothing is cached at module level.  The RootSystem keeps the coroot row of
 every root and the list of group elements.  A ReducedWord computes its
@@ -64,13 +63,18 @@ __all__ = [
     "normalize_reflection_sequence",
 ]
 
-Matrix = tuple[tuple[int, ...], ...]
 
+def _walk(rs: RootSystem, letters, v):
+    """s_{l_k} ... s_{l_1}(v): s_{l_1} first, then s_{l_2}, and so on.
 
-def _reflect(v: Vec, gamma: Vec, coroot: Vec) -> Vec:
-    """s_gamma(v) = v - <v, gamma^vee> gamma, given the coroot row of gamma."""
-    k = sum(map(mul, coroot, v))
-    return tuple([x - k * g for x, g in zip(v, gamma)])
+    s_i v = v - <v, alpha_i^vee> alpha_i changes only coordinate i, by the
+    dot product of v with row i of the Cartan matrix.
+    """
+    cartan = rs.cartan
+    v = list(v)
+    for i in letters:
+        v[i - 1] -= sum(map(mul, cartan[i - 1], v))
+    return tuple(v)
 
 
 def _descend(rs: RootSystem, p: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -82,23 +86,6 @@ def _descend(rs: RootSystem, p: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([x - k * g for x, g in zip(p, rs.gram[i])])
 
 
-def _word_matrix(rs: RootSystem, letters) -> Matrix:
-    """Matrix of s_{l_1} ... s_{l_k} on simple root coordinates.
-
-    Built right to left: s_i M changes only row i of M, to
-    row_i - sum_j a_ij row_j.
-    """
-    n = rs.rank
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for i in reversed(letters):
-        a = rs.cartan[i - 1]
-        rows[i - 1] = [
-            x - sum(a[j] * rows[j][c] for j in range(n) if a[j])
-            for c, x in enumerate(rows[i - 1])
-        ]
-    return tuple(map(tuple, rows))
-
-
 @dataclass(frozen=True)
 class WeylElt:
     """Group element w, stored by its orbit vector ``vec`` = w(2 rho).
@@ -107,30 +94,21 @@ class WeylElt:
     the element was built as the reflection s_beta, so that a product with
     it on the left is one O(n) reflection of a vector; it takes no part in
     equality.  The pairings (alpha_i, vec), which give the left descents,
-    and the length are computed on first use and kept on the element, and
-    so are the derived matrices: ``mat`` sends simple root coordinates of v
-    to those of w(v), column j holding w(alpha_j), and ``inv`` is the
-    matrix of w^{-1}.
+    and the length are computed on first use and kept on the element.
     """
 
     rs: RootSystem = field(compare=False)
     vec: Vec
     root: Vec | None = field(default=None, compare=False)
 
-    @cached_property
-    def mat(self) -> Matrix:
-        return _word_matrix(self.rs, self._word)
-
-    @cached_property
-    def inv(self) -> Matrix:
-        return _word_matrix(self.rs, self._word[::-1])
-
     def act(self, v):
-        """Apply the element to a coordinate vector (ints or Fractions)."""
-        return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in self.mat)
+        """w(v) for a vector in simple root coordinates: the canonical word
+        s_{i_1} ... s_{i_t}, applied from its last letter."""
+        return _walk(self.rs, reversed(self._word), v)
 
     def act_inv(self, v):
-        return tuple(sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in self.inv)
+        """w^{-1}(v): the canonical word applied from its first letter."""
+        return _walk(self.rs, self._word, v)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         """(u v)(2 rho) = u(v(2 rho)): one reflection if u is s_beta, else u.act."""
@@ -138,7 +116,7 @@ class WeylElt:
         if rs is not other.rs and rs != other.rs:
             raise ValueError("elements of different Weyl groups")
         if self.root is not None:
-            return WeylElt(rs, _reflect(other.vec, self.root, rs.coroots[self.root]))
+            return WeylElt(rs, reflect(rs, self.root, other.vec))
         return WeylElt(rs, self.act(other.vec))
 
     def inverse(self) -> "WeylElt":
@@ -213,11 +191,9 @@ def from_word(rs: RootSystem, letters) -> WeylElt:
 
 
 def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
-    """The reflection in the hyperplane of a (positive or negative) root."""
-    coroot = rs.coroots.get(beta)
-    if coroot is None:
-        raise ValueError(f"{beta} is not a root")
-    return WeylElt(rs, _reflect(rs.two_rho, beta, coroot), beta)
+    """The reflection in the hyperplane of a (positive or negative) root;
+    ValueError if beta is not a root."""
+    return WeylElt(rs, reflect(rs, beta, rs.two_rho), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +205,7 @@ class ReducedWord:
     """A reduced word, validated at construction.
 
     ``roots`` are the beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), each
-    found by reflecting a simple root, and ``element`` is the product
+    a walk of the prefix from alpha_{i_k}, and ``element`` is the product
     s_{i_1} ... s_{i_t}, read off the roots: the prefix s_{i_1} ...
     s_{i_{k-1}} sends 2 rho - s_{i_k}(2 rho) = 2 alpha_{i_k} to 2 beta_k, so
     the telescoping sum gives w(2 rho) = 2 rho - 2 (beta_1 + ... + beta_t).
@@ -243,7 +219,6 @@ class ReducedWord:
 
     def __post_init__(self):
         rs = self.rs
-        cartan = rs.cartan
         letters = self.letters
         for i in letters:
             if not 1 <= i <= rs.rank:
@@ -251,10 +226,8 @@ class ReducedWord:
         roots = []
         vec = rs.two_rho
         for k, i in enumerate(letters):
-            beta = list(rs.simple(i))
-            for j in reversed(letters[:k]):
-                beta[j - 1] -= sum(map(mul, cartan[j - 1], beta))
-            roots.append(tuple(beta))
+            beta = _walk(rs, reversed(letters[:k]), rs.simple(i))
+            roots.append(beta)
             vec = tuple(x - 2 * b for x, b in zip(vec, beta))
         element = WeylElt(rs, vec)
         if element.length != len(letters):

@@ -135,12 +135,19 @@ def test_strata_default_word(capsys):
     assert len(doc["entries"][0]["strata"]) == 3
 
 
+def _matrices(w):
+    """The matrices of w and w^{-1} on simple root coordinates, read off
+    act and act_inv: column j holds the image of alpha_j."""
+    simples = [w.rs.simple(j) for j in range(1, w.rs.rank + 1)]
+    return tuple(zip(*map(w.act, simples))), tuple(zip(*map(w.act_inv, simples)))
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4"])
 def test_longest_element_matches_the_group_enumeration(label):
     rs = qborel.build_root_system(label)
     w0 = cli._longest_element(rs)
-    assert w0.mat == weyl_group(rs)[-1].mat
-    assert w0.inv == weyl_group(rs)[-1].inv
+    assert w0 == weyl_group(rs)[-1]
+    assert _matrices(w0) == _matrices(weyl_group(rs)[-1])
 
 
 def test_deterministic_output(capsys):

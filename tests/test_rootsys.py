@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,24 @@ def test_reflect():
     for rs in (A2, B2, G2):
         for beta in rs.pos_roots:
             assert reflect(rs, beta, beta) == tuple(-c for c in beta)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "D4"])
+def test_reflect_reads_the_coroot_table(label):
+    rs = build_root_system(label)
+    n = rs.rank
+    xs = [rs.simple(i) for i in range(1, n + 1)]
+    xs += [rs.two_rho, tuple(range(-1, n - 1)), tuple((-2) ** i for i in range(n))]
+    for beta in rs.pos_roots:
+        for root in (beta, tuple(-c for c in beta)):
+            for x in xs:
+                k = Fraction(2 * bilinear(rs, root, x), bilinear(rs, root, root))
+                got = reflect(rs, root, x)
+                assert got == tuple(a - k * b for a, b in zip(x, root)), (root, x)
+                assert all(type(c) is int for c in got)
+    for v in ((1, 2), (0, 0)):
+        with pytest.raises(ValueError):
+            reflect(B2, v, (1, 0))
 
 
 def test_rho_pairing():

@@ -91,10 +91,10 @@ def test_a3_w0():
 
 
 def test_w_theta():
-    assert theta_set(WORD_A2, ()).y.mat == W0_A2.mat
+    assert theta_set(WORD_A2, ()).y == W0_A2
     th = theta_set(WORD_A2, (1,))
     assert canonical_word(th.y) == (2, 1)
-    assert th.y.mat == (product_of_reflections(A2, th.roots) * W0_A2).mat
+    assert th.y == product_of_reflections(A2, th.roots) * W0_A2
     with pytest.raises(NotOrthogonal):
         theta_set(WORD_A2, (1, 3))
     with pytest.raises(NotOrthogonal):
@@ -109,8 +109,8 @@ def test_w_theta():
 def test_theta_set_certificates():
     th = theta_set(WORD_A2, (1,))
     assert th.roots == ((1, 0),)
-    assert th.w.mat == W0_A2.mat
-    assert th.y.mat == (product_of_reflections(A2, th.roots) * W0_A2).mat
+    assert th.w == W0_A2
+    assert th.y == product_of_reflections(A2, th.roots) * W0_A2
     with pytest.raises(NotOrthogonal):
         theta_set(WORD_A2, (1, 2))
     with pytest.raises(ValueError):
@@ -147,9 +147,9 @@ def test_rank2_exhaustive(label):
             ys = set()
             for th in tw:
                 y = kappa(th)
-                assert y.mat == (product_of_reflections(rs, th.roots) * word.element).mat
-                assert y.mat not in ys
-                ys.add(y.mat)
+                assert y == product_of_reflections(rs, th.roots) * word.element
+                assert y not in ys
+                ys.add(y)
                 assert y.length == w.length - len(th)
                 for beta in th.roots:
                     assert all(c >= 0 for c in y.act_inv(beta))
@@ -225,7 +225,7 @@ def test_stratum_of():
     th = theta_set(WORD_A2, (3,))
     st = Stratum(th)
     assert st.dim == 1
-    assert st.y.mat == kappa(th).mat
+    assert st.y == kappa(th)
     assert bruhat_le(st.y, W0_A2)
 
 
@@ -236,7 +236,7 @@ def test_w_theta_once_per_member(monkeypatch):
     def spy(self, k):
         th = real(self, k)
         calls.append(th.indices)
-        assert th.y.mat == (product_of_reflections(th.w.rs, th.roots) * th.w).mat
+        assert th.y == product_of_reflections(th.w.rs, th.roots) * th.w
         return th
 
     monkeypatch.setattr(ThetaSet, "extend", spy)

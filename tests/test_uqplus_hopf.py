@@ -233,19 +233,11 @@ def _shift_oracle(alg, gens, h):
     return L, in_span
 
 
-@pytest.mark.parametrize("label", ["A2", "B2"])
-def test_in_span_matches_shift_oracle(monkeypatch, label):
-    rs = build_root_system(label)
-    alg = ALG if label == "A2" else UAlgebra(rs)
-    asked = []
-    real = hopf._GeneratedSpan.in_span
-
-    def spy(self, v):
-        ans = real(self, v)
-        asked.append((v, ans))
-        return ans
-
-    monkeypatch.setattr(hopf._GeneratedSpan, "in_span", spy)
+def _span_cases(alg):
+    """Generator lists for the coideal span tests: the twisted generators of
+    every stratum of each word whose roots have height at most 4, then
+    three hand-built cases."""
+    rs = alg.rs
     cases = []
     for g in weyl_group(rs):
         word = ReducedWord(rs, canonical_word(g))
@@ -259,8 +251,24 @@ def test_in_span_matches_shift_oracle(monkeypatch, label):
     a1 = rs.simple(1)
     cases.append([alg.E(1) + alg.E(2), alg.K(a1), alg.K(vec_neg(a1))])
     cases.append([psi_apply(alg, alg.E(1)) + alg.K(vec_neg(rs.simple(2)))])
+    return cases
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_in_span_matches_shift_oracle(monkeypatch, label):
+    rs = build_root_system(label)
+    alg = ALG if label == "A2" else UAlgebra(rs)
+    asked = []
+    real = hopf._GeneratedSpan.in_span
+
+    def spy(self, v):
+        ans = real(self, v)
+        asked.append((v, ans))
+        return ans
+
+    monkeypatch.setattr(hopf._GeneratedSpan, "in_span", spy)
     n_queries = n_shifted = n_false = 0
-    for gens in cases:
+    for gens in _span_cases(alg):
         asked.clear()
         coideal_check(alg, gens, 4)
         # K-shifts of the spanning elements on either side test the scalar
@@ -276,3 +284,17 @@ def test_in_span_matches_shift_oracle(monkeypatch, label):
         n_queries += len(asked)
         n_shifted += len(asked) * (L.rank > 0)
     assert n_queries > 50 and n_shifted > 0 and n_false > 0
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_lattice_rows_are_in_their_span(label):
+    # why coideal_check asks nothing about its grouplike generators
+    rs = build_root_system(label)
+    alg = ALG if label == "A2" else UAlgebra(rs)
+    n_rows = 0
+    for gens in _span_cases(alg):
+        sp = hopf._generated_span(alg, gens, 4)
+        for row in sp.lat_rows:
+            assert sp.in_span({(row, ()): ONE}), (gens, row)
+            n_rows += 1
+    assert n_rows > 0
