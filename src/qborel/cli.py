@@ -638,7 +638,8 @@ def suite_hopf(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
     if n_skipped:
         note += f", {n_skipped} words beyond the height budget skipped"
     checks.append(Check(f"{label}: twisted generators pass coideal_check at h={h}", coideal_ok, bad or note))
-    checks.append(Check(f"{label}: twisted spans are graded by the K-exponent", graded_span_ok))
+    checks.append(Check(f"{label}: twisted spans are graded by the K-exponent", graded_span_ok,
+                        "" if n_strata else "0 strata"))
     return checks
 
 

@@ -92,12 +92,16 @@ def test_07_descent_tests_and_chain_normalization():
 
 def test_08_hopf_twist_suite():
     t0 = time.perf_counter()
-    checks = suite_hopf(build_root_system("A2"), "A2")
+    checks = _run(suite_hopf, RANK2 + ("A3",))
     elapsed = time.perf_counter() - t0
     _assert_all(checks)
-    assert any("coideal_check" in c.name for c in checks)
-    assert any("graded by the K-exponent" in c.name for c in checks)
-    assert elapsed < 120.0, f"{elapsed:.1f}s"
+    for label in RANK2 + ("A3",):
+        coideal = [c for c in checks if c.name.startswith(label) and "coideal_check" in c.name]
+        assert len(coideal) == 1 and int(coideal[0].detail.split()[0]) > 0, coideal
+        assert any(c.name.startswith(label) and "graded by the K-exponent" in c.name for c in checks)
+    # 14, 22, 14 and 5 strata; measured 0.40-0.54 s on a 2-core x86-64 host,
+    # and the budget is about twice that
+    assert elapsed < 1.1, f"{elapsed:.1f}s"
 
 
 def test_09_kernel_self_consistency():

@@ -250,6 +250,14 @@ def test_verify_all_on_a1_stays_inside_the_default_height(capsys):
     assert "A1: twisted generators pass coideal_check at h=2 (3 strata)" in out
 
 
+def test_hopf_on_b3_names_its_zero_strata(capsys):
+    # B3's one word (w0) has a root of height 5, so no stratum is tested at h=4
+    code, out, err = run(capsys, "verify", "--type", "B3", "--suite", "hopf")
+    assert (code, err) == (0, "")
+    assert "PASS B3: twisted generators pass coideal_check at h=4 (0 strata, " in out
+    assert "PASS B3: twisted spans are graded by the K-exponent (0 strata)\n" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("--type", "A3", "--word", "1,3,2,1", "2", "4"),
     ("--type", "B3", "--word", "1,3,2,1,2", "2", "5"),

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from qborel.coeffs import ONE, from_int, qpow
-from qborel.errors import InvalidTriple
+from qborel.coeffs import ONE, Q, from_int, qpow
+from qborel.errors import HeightOverflow, InvalidTriple
 from qborel.rootsys import (
     LatticeSubgroup,
     bilinear,
@@ -192,6 +192,7 @@ def _shift_oracle(alg, gens, h):
     unreduced; a query v is solved against each basis vector translated
     by every lattice vector that moves one of its K-exponents onto one of
     v's, with the commutation scalar of right multiplication by K_lam.
+    Returns L, that membership test and the spanning products.
     """
     lat, others = [], []
     for g in gens:
@@ -205,12 +206,13 @@ def _shift_oracle(alg, gens, h):
             others.append(g)
     L = LatticeSubgroup.from_generators(alg.rs.rank, lat)
     heights = [max(1, max(len(ew) for (fw, mu, ew) in g.terms)) for g in others]
-    solver, basis = SpanSolver(), []
+    solver, basis, elements = SpanSolver(), [], []
 
     def products(idx, budget, acc):
         vec = {(mu, ew): c for (fw, mu, ew), c in acc.terms.items()}
         if vec and solver.insert(vec):
             basis.append(vec)
+            elements.append(acc)
         for j in range(idx, len(others)):
             if heights[j] <= budget:
                 products(j, budget - heights[j], acc * others[j])
@@ -230,7 +232,15 @@ def _shift_oracle(alg, gens, h):
                     })
         return solve_in_span(cands, v) is not None
 
-    return L, in_span
+    return L, in_span, elements
+
+
+def _left_legs(alg, x):
+    """The left tensor legs of Delta(x), one per right key."""
+    grouped = {}
+    for (k1, e1, k2, e2), c in coproduct(alg, x).terms.items():
+        grouped.setdefault((k2, e2), {})[(k1, e1)] = c
+    return list(grouped.values())
 
 
 def _span_cases(alg):
@@ -271,19 +281,96 @@ def test_in_span_matches_shift_oracle(monkeypatch, label):
     for gens in _span_cases(alg):
         asked.clear()
         coideal_check(alg, gens, 4)
-        # K-shifts of the spanning elements on either side test the scalar
         sp = hopf._generated_span(alg, gens, 4)
-        for x in sp.elements:
+        L, oracle, elements = _shift_oracle(alg, gens, 4)
+        # the coproduct legs of every spanning product, and its K-shifts on
+        # either side, which test the scalar
+        for x in elements:
+            for left in _left_legs(alg, x):
+                sp.in_span(left)
             for row in sp.lat_rows:
                 for y in (x * alg.K(row), alg.K(row) * x):
                     sp.in_span({(mu, ew): c for (fw, mu, ew), c in y.terms.items()})
-        L, oracle = _shift_oracle(alg, gens, 4)
         for v, ans in asked:
             assert ans == oracle(v), (gens, v)
             n_false += not ans
         n_queries += len(asked)
         n_shifted += len(asked) * (L.rank > 0)
     assert n_queries > 50 and n_shifted > 0 and n_false > 0
+
+
+def _all_products_reference(alg, gens, h):
+    """(coideal, graded) tested on every spanning product that raises the
+    rank of the span, not on the generators alone: the reference for
+    coideal_check and span_is_Q_graded."""
+    sp = hopf._GeneratedSpan(alg, gens, h)
+    heights = [max(1, max(len(ew) for (fw, mu, ew) in g.terms)) for g in sp.gens]
+    solver, elements = SpanSolver(), []
+
+    def products(idx, budget, acc):
+        vec = sp._reduced({(mu, ew): c for (fw, mu, ew), c in acc.terms.items()})
+        if vec and solver.insert(vec):
+            elements.append(acc)
+        for j in range(idx, len(sp.gens)):
+            if heights[j] <= budget:
+                products(j, budget - heights[j], acc * sp.gens[j])
+
+    products(0, h, alg.one())
+    graded = all(hopf._kexp_parts_in_span(sp, x) for x in elements)
+    legs_ok = all(sp.in_span(v) for x in elements for v in _left_legs(alg, x))
+    return graded and legs_ok, graded
+
+
+def _verdict(f):
+    try:
+        return f()
+    except (ValueError, HeightOverflow) as exc:
+        return type(exc).__name__
+
+
+def _differential_cases(alg):
+    """The twisted generators of every stratum of each word whose roots
+    have height at most 4, for phi in {1, q, 3} and L in {L_max, 0}, each
+    also with E_i appended, added to the last root generator, and
+    multiplied onto it from the right."""
+    rs = alg.rs
+    for g in weyl_group(rs):
+        word = ReducedWord(rs, canonical_word(g))
+        if any(sum(b) > 4 for b in word.roots):
+            continue
+        t = len(word.letters)
+        for st in enumerate_strata(word):
+            for phi in (ONE, Q, from_int(3)):
+                ch = character(st, {b: phi for b in st.theta.roots})
+                for L in (max_admissible_lattice(ch), LatticeSubgroup.from_generators(rs.rank, [])):
+                    gens = twist_generators(alg, ch, L)
+                    yield gens
+                    for i in range(1, rs.rank + 1):
+                        e = alg.E(i)
+                        yield gens + [e]
+                        if t:
+                            yield gens[:t - 1] + [gens[t - 1] + e] + gens[t:]
+                            yield gens[:t - 1] + [gens[t - 1] * e] + gens[t:]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_generator_test_matches_all_products_reference(label):
+    rs = build_root_system(label)
+    alg = ALG if label == "A2" else UAlgebra(rs)
+    seen = {}
+    for gens in _differential_cases(alg):
+        key = tuple(gens)
+        if key in seen:
+            continue
+        ref = _verdict(lambda: _all_products_reference(alg, gens, 4))
+        got = _verdict(lambda: (coideal_check(alg, gens, 4), span_is_Q_graded(alg, gens, 4)))
+        assert got == ref, gens
+        seen[key] = ref
+    outcomes = {v if isinstance(v, str) else v[0] for v in seen.values()}
+    assert {True, False, "ValueError"} <= outcomes, outcomes
+    if label == "G2":
+        # only G2 has a root generator of height 4 to push past the bound
+        assert "HeightOverflow" in outcomes
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
