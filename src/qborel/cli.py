@@ -716,9 +716,8 @@ def suite_kernel(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
         exps = data.exponents_of_weight(mu)
         dim = alg.nf.dim_plus(mu)
         n_weights += 1
-        if len(exps) != kostant_dim(rs, mu):
-            kostant_ok = False
-        if dim != kostant_dim(rs, mu):
+        count = kostant_dim(rs, mu)
+        if len(exps) != count or dim != count:
             kostant_ok = False
         solver = SpanSolver()
         for a in exps:

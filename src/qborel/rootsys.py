@@ -168,10 +168,12 @@ def _leading_minors_positive(b: list[list[int]]) -> bool:
 class RootSystem:
     """Immutable container for Cartan data and the positive roots.
 
-    It also owns the Weyl data derived from them, so that data lives and
-    dies with the root system: the table of the coroot row of every root
-    (which ``reflect`` reads), built on first use, and the element list
-    that ``weyl.weyl_group`` fills on its first call.
+    It also owns the data derived from them, so that data lives and dies
+    with the root system: the table of the coroot row of every root (which
+    ``reflect`` reads), built on first use; the element list that
+    ``weyl.weyl_group`` fills on its first call; and ``_kostant``, the
+    partition counts that ``uqplus.free.kostant_dim`` keys by (root index,
+    remaining weight) and fills as it is asked.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -180,6 +182,9 @@ class RootSystem:
     pos_roots: tuple[Vec, ...]
     _weyl_group: tuple | None = field(
         default=None, init=False, compare=False, hash=False, repr=False
+    )
+    _kostant: dict[tuple[int, Vec], int] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
     @property

@@ -110,27 +110,49 @@ def serre_relation(rs: RootSystem, i: int, j: int) -> FreeElt:
 def kostant_dim(rs: RootSystem, mu: Vec) -> int:
     """Number of ways to write mu as an N-combination of positive roots.
 
-    Independent of the Serre-ideal machinery; used to cross-check the
-    graded dimensions of U+.
+    Independent of the Serre-ideal machinery, with integers only; used to
+    cross-check the graded dimensions of U+.  The count p_k(nu) of nu over
+    the roots from index k on is p_(k+1)(nu) + p_k(nu - beta_k), and each
+    value is kept in ``rs._kostant`` under (k, nu), so one table per root
+    system serves every call.  A weight with a negative entry counts 0;
+    one whose length is not the rank raises ValueError.
+
+    >>> from qborel.rootsys import build_root_system
+    >>> kostant_dim(build_root_system("A2"), (1, 1))
+    2
     """
+    if len(mu) != rs.rank:
+        raise ValueError(f"weight {mu} does not have rank {rs.rank} entries")
+    if min(mu) < 0:
+        return 0
+    roots = rs.pos_roots
+    table = rs._kostant
 
-    def count(idx: int, rem: Vec) -> int:
-        if all(c == 0 for c in rem):
+    def count(k: int, nu: Vec) -> int:
+        if not any(nu):
             return 1
-        if idx >= len(rs.pos_roots):
+        if k == len(roots):
             return 0
-        beta = rs.pos_roots[idx]
-        total = 0
-        r = rem
-        while True:
-            total += count(idx + 1, r)
-            nxt = tuple(a - b for a, b in zip(r, beta))
-            if any(c < 0 for c in nxt):
-                break
-            r = nxt
-        return total
+        got = table.get((k, nu))
+        if got is None:
+            # walk nu, nu - beta_k, ... down to a weight whose p_k is known, then
+            # fill the walk back up; the recursion only ever goes one root deeper
+            walk = [nu]
+            while True:
+                nxt = tuple([a - b for a, b in zip(walk[-1], roots[k])])
+                if min(nxt) < 0:
+                    got = 0
+                    break
+                got = 1 if not any(nxt) else table.get((k, nxt))
+                if got is not None:
+                    break
+                walk.append(nxt)
+            for r in reversed(walk):
+                got += count(k + 1, r)
+                table[k, r] = got
+        return got
 
-    return count(0, mu)
+    return count(0, tuple(mu))
 
 
 class _WeightComponent:

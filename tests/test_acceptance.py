@@ -6,6 +6,7 @@ stated.  pytest -v prints one pass/fail line per criterion.
 """
 
 import time
+from itertools import product
 
 from qborel.cli import (
     suite_characters,
@@ -18,6 +19,7 @@ from qborel.cli import (
     suite_weyl,
 )
 from qborel.rootsys import build_root_system
+from qborel.uqplus.free import kostant_dim
 from qborel.uqplus.full import UAlgebra
 
 RANK2 = ("A2", "B2", "G2")
@@ -168,3 +170,21 @@ def test_14_rank4_enumerate():
     # every index subset of the canonical word of w0 (2^16 subsets); measured
     # 5.7-5.8 s on a 2-core x86-64 host, and the budget is about twice that
     assert elapsed < 11.0, f"{elapsed:.1f}s"
+
+
+def test_15_rank4_kostant():
+    t0 = time.perf_counter()
+    totals = {}
+    for label in ("B4", "F4"):
+        rs = build_root_system(label)
+        weights = [mu for mu in product(range(11), repeat=4) if 0 < sum(mu) <= 10]
+        # two calls per weight, as suite_kernel made them
+        counts = [kostant_dim(rs, mu) for mu in weights for _ in range(2)]
+        totals[label] = (len(weights), sum(counts[::2]), counts[::2] == counts[1::2])
+    elapsed = time.perf_counter() - t0
+    # the sums match the uncached recursion the counts used before their table
+    assert totals == {"B4": (1000, 10621, True), "F4": (1000, 11911, True)}
+    # every weight of B4 and F4 up to height 10; measured 0.04-0.05 s each on
+    # a 2-core x86-64 host against 8.8 and 13.1 s uncached, and the budget
+    # leaves room for a loaded host
+    assert elapsed < 1.0, f"{elapsed:.1f}s"

@@ -202,6 +202,89 @@ def test_kostant_examples():
     assert kostant_dim(A2, (4, 0)) == 1
 
 
+@pytest.mark.parametrize("mu", [(1,), (2,), (1, 1, 1), ()])
+def test_kostant_rejects_a_weight_of_the_wrong_length(mu):
+    # zip used to truncate: (1,) and (2,) never returned, (1, 1, 1) gave 2, () gave 1
+    with pytest.raises(ValueError, match="rank 2"):
+        kostant_dim(A2, mu)
+
+
+def test_kostant_edge_weights():
+    assert kostant_dim(A2, (-1, 3)) == 0
+    assert kostant_dim(A2, (0, -1)) == 0
+    assert kostant_dim(A2, (0, 0)) == 1
+    assert kostant_dim(A2, [1, 1]) == 2
+    # the walk down a root's multiples is a loop, so a tall weight stays
+    # within the recursion limit: the depth is the number of roots
+    assert kostant_dim(build_root_system("A1"), (5000,)) == 1
+
+
+def _kostant_oracle(rs, mu):
+    """The uncached recursion kostant_dim used before its table: every
+    multiple of each root in turn, nothing kept."""
+
+    def count(idx, rem):
+        if all(c == 0 for c in rem):
+            return 1
+        if idx >= len(rs.pos_roots):
+            return 0
+        beta = rs.pos_roots[idx]
+        total = 0
+        r = rem
+        while True:
+            total += count(idx + 1, r)
+            nxt = tuple(a - b for a, b in zip(r, beta))
+            if any(c < 0 for c in nxt):
+                break
+            r = nxt
+        return total
+
+    return count(0, mu)
+
+
+KOSTANT_HEIGHTS = {"A2": 12, "B2": 12, "G2": 12, "A3": 9, "B3": 8, "C3": 8, "D4": 6, "B4": 6, "F4": 5}
+
+
+def _weights_up_to(n, h):
+    return [mu for mu in product(range(h + 1), repeat=n) if sum(mu) <= h]
+
+
+def test_kostant_table_matches_the_uncached_recursion():
+    seen = 0
+    for label, h in KOSTANT_HEIGHTS.items():
+        rs = build_root_system(label)
+        for mu in _weights_up_to(rs.rank, h):
+            assert kostant_dim(rs, mu) == _kostant_oracle(rs, mu), (label, mu)
+            seen += 1
+    assert seen == 1369
+
+
+def test_kostant_table_is_owned_by_its_root_system(monkeypatch):
+    rs = build_root_system("G2")
+    assert rs._kostant == {}
+    weights = _weights_up_to(2, 9)
+    first = [kostant_dim(rs, mu) for mu in weights]
+    size = len(rs._kostant)
+    assert size > 0
+    assert all(type(k) is int and type(v) is int for (k, _), v in rs._kostant.items())
+    assert [kostant_dim(rs, mu) for mu in weights] == first
+    assert len(rs._kostant) == size
+    # a second object of the same type starts its own table
+    other = build_root_system("G2")
+    assert other == rs and other._kostant == {}
+    assert kostant_dim(other, (3, 2)) == kostant_dim(rs, (3, 2))
+    assert other._kostant is not rs._kostant and 0 < len(other._kostant) < size
+    assert len(rs._kostant) == size
+
+    # the counts never build the Serre echelon they check
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("kostant_dim built an NFContext")
+
+    monkeypatch.setattr(NFContext, "__init__", refuse)
+    fresh = build_root_system("G2")
+    assert [kostant_dim(fresh, mu) for mu in weights] == first
+
+
 def test_height_overflow():
     ctx = NFContext(A2, 8)
     with pytest.raises(HeightOverflow):
