@@ -140,13 +140,10 @@ def kostant_dim(rs: RootSystem, mu: Vec) -> int:
             walk = [nu]
             while True:
                 nxt = tuple([a - b for a, b in zip(walk[-1], roots[k])])
-                if min(nxt) < 0:
-                    got = 0
-                    break
-                got = 1 if not any(nxt) else table.get((k, nxt))
-                if got is not None:
+                if min(nxt) < 0 or not any(nxt) or (k, nxt) in table:
                     break
                 walk.append(nxt)
+            got = count(k, nxt) if min(nxt) >= 0 else 0
             for r in reversed(walk):
                 got += count(k + 1, r)
                 table[k, r] = got

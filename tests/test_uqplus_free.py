@@ -202,7 +202,7 @@ def test_kostant_examples():
     assert kostant_dim(A2, (4, 0)) == 1
 
 
-@pytest.mark.parametrize("mu", [(1,), (2,), (1, 1, 1), ()])
+@pytest.mark.parametrize("mu", [(1,), (2,), (1, 1, 1), ()], ids=["1", "2", "1-1-1", "empty"])
 def test_kostant_rejects_a_weight_of_the_wrong_length(mu):
     # zip used to truncate: (1,) and (2,) never returned, (1, 1, 1) gave 2, () gave 1
     with pytest.raises(ValueError, match="rank 2"):
