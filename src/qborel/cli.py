@@ -507,15 +507,13 @@ def suite_weyl(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> li
             for _ in range(m):
                 shorter = x.length - 1
                 # only a root in the inversion set of x, (beta, x(2 rho)) < 0, can shorten x
-                opts = [
-                    b for b in inversion_set(x) if (reflection_of_root(rs, b) * x).length == shorter
-                ]
+                steps = ((b, reflection_of_root(rs, b) * x) for b in inversion_set(x))
+                opts = [(b, y) for b, y in steps if y.length == shorter]
                 if not opts:
                     dead = True
                     break
-                b = rng.choice(opts)
+                b, x = rng.choice(opts)
                 seq.append(b)
-                x = reflection_of_root(rs, b) * x
             if dead:
                 continue
             if all(

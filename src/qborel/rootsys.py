@@ -171,9 +171,13 @@ class RootSystem:
     It also owns the data derived from them, so that data lives and dies
     with the root system: the table of the coroot row of every root (which
     ``reflect`` reads), built on first use; the element list that
-    ``weyl.weyl_group`` fills on its first call; and ``_kostant``, the
+    ``weyl.weyl_group`` fills on its first call; ``_kostant``, the
     partition counts that ``uqplus.free.kostant_dim`` keys by (root index,
-    remaining weight) and fills as it is asked.
+    remaining weight) and fills as it is asked; and ``_weyl_table``, which
+    ``weyl`` fills as elements are used: under an orbit vector w(2 rho),
+    the list [pairings, length, canonical word] of w, each computed on
+    first use, and under ("s", beta), the element that
+    ``weyl.reflection_of_root`` returns for the root beta.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -184,6 +188,9 @@ class RootSystem:
         default=None, init=False, compare=False, hash=False, repr=False
     )
     _kostant: dict[tuple[int, Vec], int] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    _weyl_table: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 

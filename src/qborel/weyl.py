@@ -17,13 +17,20 @@ in Weyl groups, Invent. Math. 116, 1994):
 * one step of a descent walk (canonical_word, all_reduced_words,
   bruhat_le), which updates the pairings (alpha_i, v) directly.
 
-The length, #{beta > 0 : (beta, v) < 0}, is counted once per element and
-kept.  ``act``, ``act_inv`` and a product whose left factor is not a
-reflection walk the canonical word one simple reflection at a time.
+The pairings, the length #{beta > 0 : (beta, v) < 0} and the canonical
+word are computed once per element of the group, not once per WeylElt
+object: products land on the same few elements again and again.
+``act``, ``act_inv`` and a product whose left factor is not a reflection
+walk the canonical word one simple reflection at a time.
 
 Nothing is cached at module level.  The RootSystem keeps the coroot row of
-every root and the list of group elements.  A ReducedWord computes its
-element and its roots once, when it is built.
+every root, the list of group elements and ``_weyl_table``: the pairings,
+length and canonical word of each element used so far, keyed by its orbit
+vector, and the element s_beta of each root used so far, keyed by
+("s", beta) so that it cannot meet an orbit vector (in A1 the orbit
+vectors are the roots themselves).  A WeylElt keeps nothing but its
+fields.  A ReducedWord computes its element and its roots once, when it
+is built.
 
 The module also implements the two pieces of chain surgery used by the
 classification combinatorics: a three-reflection rewriting step and the
@@ -34,7 +41,6 @@ of a length-reducing chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul
 
 from .errors import (
@@ -94,7 +100,8 @@ class WeylElt:
     the element was built as the reflection s_beta, so that a product with
     it on the left is one O(n) reflection of a vector; it takes no part in
     equality.  The pairings (alpha_i, vec), which give the left descents,
-    and the length are computed on first use and kept on the element.
+    the length and the canonical word are read from the root system's
+    ``_weyl_table``, where each is computed on first use for this ``vec``.
     """
 
     rs: RootSystem = field(compare=False)
@@ -122,30 +129,45 @@ class WeylElt:
     def inverse(self) -> "WeylElt":
         return WeylElt(self.rs, self.act_inv(self.rs.two_rho), self.root)
 
-    @cached_property
+    def _entry(self) -> list:
+        """[pairings, length, canonical word] of vec in the table; the
+        pairings are filled when the entry is made, the others are None
+        until first use."""
+        table = self.rs._weyl_table
+        entry = table.get(self.vec)
+        if entry is None:
+            v = self.vec
+            p = tuple([sum(map(mul, row, v)) for row in self.rs.gram])
+            entry = table[v] = [p, None, None]
+        return entry
+
+    @property
     def _pairings(self) -> tuple[int, ...]:
         """(alpha_i, vec) for each i; negative exactly at the left descents."""
-        v = self.vec
-        return tuple([sum(map(mul, row, v)) for row in self.rs.gram])
+        return self._entry()[0]
 
-    @cached_property
+    @property
     def _word(self) -> tuple[int, ...]:
         """The smallest left descent i, then the canonical word of s_i w."""
-        rs = self.rs
-        p = self._pairings
-        letters = []
-        while True:
-            i = next((i for i, x in enumerate(p) if x < 0), None)
-            if i is None:
-                return tuple(letters)
-            letters.append(i + 1)
-            p = _descend(rs, p, i)
+        entry = self._entry()
+        if entry[2] is None:
+            rs = self.rs
+            p = entry[0]
+            letters = []
+            while True:
+                i = next((i for i, x in enumerate(p) if x < 0), None)
+                if i is None:
+                    break
+                letters.append(i + 1)
+                p = _descend(rs, p, i)
+            entry[2] = tuple(letters)
+        return entry[2]
 
     @property
     def is_identity(self) -> bool:
         return self.vec == self.rs.two_rho
 
-    @cached_property
+    @property
     def length(self) -> int:
         """Number of positive roots beta with (beta, vec) < 0.
 
@@ -153,8 +175,11 @@ class WeylElt:
         w^{-1} sends beta to a negative root, and (beta, vec) is
         sum_j beta_j (alpha_j, vec).
         """
-        p = self._pairings
-        return sum([sum(map(mul, beta, p)) < 0 for beta in self.rs.pos_roots])
+        entry = self._entry()
+        if entry[1] is None:
+            p = entry[0]
+            entry[1] = sum([sum(map(mul, beta, p)) < 0 for beta in self.rs.pos_roots])
+        return entry[1]
 
     def left_descents(self) -> list[int]:
         """Simple indices i with length(s_i * w) < length(w), ascending.
@@ -192,8 +217,13 @@ def from_word(rs: RootSystem, letters) -> WeylElt:
 
 def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
     """The reflection in the hyperplane of a (positive or negative) root;
-    ValueError if beta is not a root."""
-    return WeylElt(rs, reflect(rs, beta, rs.two_rho), beta)
+    ValueError if beta is not a root.  Built once per root and kept in the
+    root system's table."""
+    key = ("s", beta)
+    t = rs._weyl_table.get(key)
+    if t is None:
+        t = rs._weyl_table[key] = WeylElt(rs, reflect(rs, beta, rs.two_rho), beta)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +281,7 @@ def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
 def canonical_word(w: WeylElt) -> tuple[int, ...]:
     """Lexicographically smallest reduced word (greedy smallest descent).
 
-    Computed once per element and kept on it.
+    Computed once per element and kept in the root system's table.
     """
     return w._word
 

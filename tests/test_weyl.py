@@ -31,7 +31,7 @@ G2 = build_root_system("G2")
 A3 = build_root_system("A3")
 B3 = build_root_system("B3")
 
-DIFF_TYPES = ("A3", "B3", "C3", "G2", "D4", "F4")
+DIFF_TYPES = ("A1", "A2", "A3", "B3", "C3", "G2", "D4", "F4")
 
 
 def test_simple_reflections():
@@ -301,6 +301,13 @@ def test_reduced_word_stores_its_element_and_roots():
         ReducedWord(A2, (1, 3))
 
 
+def _check_against_direct_definitions(w):
+    assert w.length == _act_inv_length(w)
+    assert w.length == len(inversion_set(w)) == len(canonical_word(w))
+    assert w.left_descents() == _act_inv_descents(w)
+    assert w.is_identity == _matrix_is_identity(w)
+
+
 def _act_inv_length(w):
     return sum(1 for beta in w.rs.pos_roots if all(x <= 0 for x in w.act_inv(beta)))
 
@@ -345,18 +352,66 @@ def test_fast_weyl_paths_match_the_direct_definitions(label):
         w = from_word(rs, letters)
         fast, direct = w.left_descents(), _act_inv_descents(w)
         assert fast == direct, letters
-    for w in weyl_group(rs):
-        assert w.length == _act_inv_length(w)
-        assert w.length == len(inversion_set(w)) == len(canonical_word(w))
-        assert w.left_descents() == _act_inv_descents(w)
-        assert w.is_identity == _matrix_is_identity(w)
+    group = weyl_group(rs)
+    for w in group:
+        _check_against_direct_definitions(w)
     for beta in rs.pos_roots:
         for root in (beta, tuple(-c for c in beta)):
             assert _matrix(reflection_of_root(rs, root)) == _cartan_reflection(rs, beta)
+    # new WeylElt objects for elements the table already holds, and for the
+    # reflections it keeps: each must read its own entry
+    rng = random.Random(label)
+    sample = rng.sample(group, min(len(group), 12))
+    for beta in rs.pos_roots:
+        r = _cartan_reflection(rs, beta)
+        for root in (beta, tuple(-c for c in beta)):
+            t = reflection_of_root(rs, root)
+            assert t is reflection_of_root(rs, root)
+            _check_against_direct_definitions(t)
+            for x in sample:
+                y = t * x
+                assert _matrix(y) == _matmul(r, _matrix(x))
+                _check_against_direct_definitions(y)
+                assert from_word(rs, canonical_word(y)) == y
     zero = (0,) * rs.rank
     for v in (zero, (2,) + zero[1:], (1, -1) + zero[2:], zero + (1,)):
         with pytest.raises(ValueError):
             reflection_of_root(rs, v)
+
+
+def _orbit_entries(rs):
+    return {k: v for k, v in rs._weyl_table.items() if k[0] != "s"}
+
+
+def test_weyl_table_is_owned_by_its_root_system():
+    rs = build_root_system("B3")
+    # filled on first use, not by build_root_system
+    assert rs._weyl_table == {}
+    group = weyl_group(rs)
+    entries = _orbit_entries(rs)
+    assert len(entries) == len(rs._weyl_table) == 48
+    assert set(entries) == {w.vec for w in group}
+    for w in group:
+        assert entries[w.vec] == [w._pairings, w.length, canonical_word(w)]
+    # asking again, or through new objects for the same elements, adds nothing
+    assert weyl_group(rs) is group
+    for w in group:
+        x = from_word(rs, canonical_word(w))
+        assert x is not w and x.length == w.length and x.left_descents() == w.left_descents()
+    assert len(rs._weyl_table) == 48
+    # a reflection is kept once per root, under a key of its own
+    beta = rs.pos_roots[-1]
+    t = reflection_of_root(rs, beta)
+    assert reflection_of_root(rs, beta) is t
+    assert rs._weyl_table[("s", beta)] is t
+    assert {t * w for w in group} == set(group)
+    assert len(_orbit_entries(rs)) == 48 and len(rs._weyl_table) == 49
+    other = build_root_system("B3")
+    assert other == rs and other._weyl_table == {}
+    assert list(weyl_group(other)) == list(group)
+    assert other._weyl_table is not rs._weyl_table
+    assert _orbit_entries(other) == _orbit_entries(rs)
+    assert len(rs._weyl_table) == 49
 
 
 def test_reflection_table_is_owned_by_its_root_system():
