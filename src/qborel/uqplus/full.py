@@ -10,6 +10,12 @@ ideal.  Multiplication straightens by the defining relations
 
 and re-expands words over the complement bases, so equal elements have
 equal term maps.
+
+The Lusztig symmetries T_a and T_a^-1 act term by term, and each term's
+image is built from the image of the term one factor shorter.  When the
+argument lies in U^+ and its image is known to stay in U^+, only the
+F-free terms of each E-word's image are built and kept; every other
+argument takes the full product in the whole algebra.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ class UAlgebra:
         self._zero_vec = (0,) * rs.rank
         self._ef: dict[tuple[Word, int], dict[Key, QRat]] = {}
         self._t_images: dict[tuple[int, bool, Key], UElt] = {}  # (a, inverse, term) -> its T_a-image
+        # (a, inverse, E-word) -> the F-free terms of its T_a-image (lusztig_T's U^+ path)
+        self._t_plus_images: dict[tuple[int, bool, Word], UElt] = {}
         self._root_vectors: dict[Word, tuple[UElt, ...]] = {}  # word letters -> its root vectors
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
@@ -262,12 +270,65 @@ def _t_image(alg: UAlgebra, a: int, key: Key, inverse: bool) -> UElt:
     return img
 
 
+def _t_plus_image(alg: UAlgebra, a: int, e: Word, inverse: bool) -> UElt:
+    """The F-free terms of T_a (or its inverse) of E_e, kept on the algebra.
+
+    They are the F-free terms of (those of the word one letter shorter)
+    times the image of the last letter; lusztig_T says why that is exact.
+    """
+    cached = alg._t_plus_images.get((a, inverse, e))
+    if cached is not None:
+        return cached
+    if not e:
+        return alg.one()
+    last = _t_generator(alg, a, "E", e[-1], inverse)
+    img = last if len(e) == 1 else _t_plus_image(alg, a, e[:-1], inverse) * last
+    img = UElt(alg, {key: c for key, c in img.terms.items() if not key[0]})
+    alg._t_plus_images[(a, inverse, e)] = img
+    return img
+
+
+def _image_stays_in_plus(alg: UAlgebra, a: int, x: UElt, inverse: bool) -> bool:
+    """Whether T_a(x) (or T_a^-1(x)) lies in U^+, for x in U^+; lusztig_T says how."""
+    alpha = alg.rs.simple(a)
+    mu = alpha if inverse else vec_neg(alpha)
+    part: dict[Word, QRat] = {}
+    for (_, _, e), c in x.terms.items():
+        for (f1, k1, e1), c1 in alg._e_times_f(e, a).items():
+            if not f1 and k1 == mu:
+                add_term(part, e1, c * c1)
+    return not part
+
+
 def lusztig_T(alg: UAlgebra, a: int, x: UElt, inverse: bool = False) -> UElt:
-    """The Lusztig symmetry T_a (or its inverse) applied to x."""
+    """The Lusztig symmetry T_a (or its inverse) applied to x.
+
+    x is mapped term by term, and each term's image is kept on the
+    algebra.  When x lies in U^+ and its image is known to stay in U^+,
+    the result is the sum of the F-free terms of each E-word's image
+    (_t_plus_image); any other x takes the full product of each term's
+    image in the whole algebra (_t_image).  Two facts make the first
+    path exact:
+
+    - Projection.  For a nonempty F-word f, F_f y has only nonempty
+      F-words in normal form, because F_f F_g has nonzero U^- weight.  So
+      the F-free terms of x y are those of x' y, with x' the F-free terms
+      of x, and the F-free terms of an E-word's image are built one letter
+      at a time.  An image in U^+ is its own F-free part.
+    - Membership test.  For x in U^+, the F-free terms of x F_a are
+      K_a r(x) + K_a^-1 r'(x), read from the cached _e_times_f.  T_a(x)
+      lies in U^+ exactly when the K_a^-1 part is zero, and T_a^-1(x)
+      exactly when the K_a part is zero (Lusztig, Introduction to Quantum
+      Groups, 38.1).
+    """
     alg._check_index(a)
     out: dict[Key, QRat] = {}
-    for key, c in x.terms.items():
-        add_scaled(out, _t_image(alg, a, key, inverse).terms, c)
+    if x.in_plus() and _image_stays_in_plus(alg, a, x, inverse):
+        for (_, _, e), c in x.terms.items():
+            add_scaled(out, _t_plus_image(alg, a, e, inverse).terms, c)
+    else:
+        for key, c in x.terms.items():
+            add_scaled(out, _t_image(alg, a, key, inverse).terms, c)
     return UElt(alg, out)
 
 

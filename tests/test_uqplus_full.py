@@ -9,7 +9,7 @@ from qborel.rootsys import bilinear, build_root_system, reflect, vec_neg
 from qborel.uqplus.free import FreeElt, serre_relation
 from qborel.uqplus import full
 from qborel.uqplus.full import UAlgebra, UElt, lusztig_T, root_vectors
-from qborel.weyl import ReducedWord, canonical_word, weyl_group
+from qborel.weyl import ReducedWord, all_reduced_words, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
 ALG = UAlgebra(A2)
@@ -268,3 +268,93 @@ def test_membership_predicates():
     assert not ALG.F(1).in_nonneg()
     with pytest.raises(ValueError):
         ALG.F(1).as_free()
+
+
+def _full_path_T(alg, a, x, inverse):
+    """T_a of x as the sum of the full term images, F-parts included."""
+    out = alg.zero()
+    for key, c in x.terms.items():
+        out = out + full._t_image(alg, a, key, inverse).scale(c)
+    return out
+
+
+def _plus_inputs(label):
+    """Root vectors of up to four reduced words of w0 and seeded sums of words up to height 3."""
+    rs = build_root_system(label)
+    # images of three-letter words pass A2's default bound 4
+    alg = UAlgebra(rs, 3 * rs.highest_height)
+    w0 = max(weyl_group(rs), key=lambda g: g.length)
+    inputs = []
+    for letters in all_reduced_words(w0)[:4]:
+        inputs.extend(root_vectors(alg, ReducedWord(rs, letters)))
+    rng = random.Random(21)
+    while len(inputs) < 50 + 10 * rs.rank:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            w = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(1, 3)))
+            terms[w] = from_int(rng.randint(1, 3)) + qpow(rng.randint(-2, 2))
+        x = alg.from_free(FreeElt(terms))
+        if not x.is_zero():
+            inputs.append(x)
+    return rs, alg, inputs
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_positive_image_test_matches_the_full_image(label):
+    rs, alg, inputs = _plus_inputs(label)
+    verdicts = set()
+    for x in inputs:
+        for a in range(1, rs.rank + 1):
+            for inverse in (False, True):
+                stays = full._image_stays_in_plus(alg, a, x, inverse)
+                assert stays == _full_path_T(alg, a, x, inverse).in_plus(), (a, inverse, repr(x))
+                verdicts.add(stays)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_positive_path_matches_termwise_products(label):
+    rs, alg, inputs = _plus_inputs(label)
+    taken = 0
+    for x in inputs:
+        for a in range(1, rs.rank + 1):
+            for inverse in (False, True):
+                if full._image_stays_in_plus(alg, a, x, inverse):
+                    got = lusztig_T(alg, a, x, inverse)
+                    want = UElt(alg, _termwise_T(rs, a, x, inverse).terms)
+                    assert got == want, (a, inverse, repr(x))
+                    assert repr(got) == repr(want)
+                    taken += 1
+    assert taken
+
+
+def test_t1_inverse_takes_t1_e2_back_on_the_positive_path():
+    alg = UAlgebra(A2)
+    zero = (0, 0)
+    # t = T_1(E_2) = E_1 E_2 - q^-1 E_2 E_1, built without a T call
+    t = alg.from_free(FreeElt({(1, 2): ONE, (2, 1): -qpow(-1)}))
+    assert full._image_stays_in_plus(alg, 1, t, True)
+    assert not full._image_stays_in_plus(alg, 1, t, False)
+    assert lusztig_T(alg, 1, t, inverse=True) == alg.E(2)
+    assert {(1, True, (1, 2)), (1, True, (2, 1))} <= set(alg._t_plus_images)
+    # the full path kept nothing but generator images
+    assert all(len(e) <= 1 for _, _, (_, _, e) in alg._t_images)
+    img = lusztig_T(alg, 1, t)
+    assert any(f for f, _, _ in img.terms) and not img.in_plus()
+    assert (1, False, ((), zero, (1, 2))) in alg._t_images
+    assert not any(key[:2] == (1, False) for key in alg._t_plus_images)
+    assert img == UElt(alg, _termwise_T(A2, 1, t, False).terms)
+
+
+def test_t_plus_images_are_kept_per_algebra():
+    rs = build_root_system("B2")
+    one, two = UAlgebra(rs), UAlgebra(rs)
+    assert one._t_plus_images == {}
+    word = ReducedWord(rs, (1, 2, 1, 2))
+    rv1 = root_vectors(one, word)
+    assert one._t_plus_images and two._t_plus_images == {}
+    rv2 = root_vectors(two, word)
+    assert [repr(x) for x in rv2] == [repr(x) for x in rv1]
+    assert one._t_plus_images.keys() == two._t_plus_images.keys()
+    assert all(img.alg is two for img in two._t_plus_images.values())
+    assert all(not f for img in one._t_plus_images.values() for f, _, _ in img.terms)
