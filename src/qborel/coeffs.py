@@ -364,6 +364,18 @@ class QRat:
         den = _pmul(d1, d2)
         return QRat(self.c * other.c, num, den)
 
+    def shift(self, k: int) -> "QRat":
+        """self * q^k in closed form: num and den are coprime, so at most
+        one of them has a q-power factor, and q^k cancels against it."""
+        if not k or not self.num:
+            return self
+        num, den = self.num, self.den
+        if k > 0:
+            d = min(k, _low(den))
+            return QRat(self.c, (0,) * (k - d) + num, den[d:])
+        d = min(-k, _low(num))
+        return QRat(self.c, num[d:], (0,) * (-k - d) + den)
+
     def inverse(self) -> "QRat":
         if not self.num:
             raise DivisionByZero("inverse of zero in Q(q)")

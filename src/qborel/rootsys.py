@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import InvalidCartan, NotInPositiveCone
 
@@ -50,11 +50,11 @@ Vec = tuple[int, ...]
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_neg(a: Vec) -> Vec:

@@ -97,7 +97,9 @@ class UAlgebra:
         self._root_vectors: dict[Word, tuple[UElt, ...]] = {}  # word letters -> its root vectors
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
-        self._span_cache: dict = {}  # (generators, height) -> hopf._GeneratedSpan, last one only
+        # (generators, height) -> hopf._GeneratedSpan, last one only; the span
+        # grows by height as its queries need, so a kept span may stop below h
+        self._span_cache: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -166,7 +168,7 @@ class UAlgebra:
         f, k, e = key
         out: dict[Key, QRat] = {}
         for (f1, k1, e1), c in self._e_times_f(e, j).items():
-            scal = qpow(-bilinear(self.rs, k, self._wt(f1))) * c
+            scal = c.shift(-bilinear(self.rs, k, self._wt(f1)))
             for f2, c2 in self.nf.reduce_word(f + f1).items():
                 add_term(out, (f2, vec_add(k, k1), e1), scal * c2)
         return out
@@ -184,6 +186,12 @@ class UAlgebra:
 
     def _term_times_term(self, k1: Key, k2: Key) -> dict[Key, QRat]:
         f2, mu2, e2 = k2
+        if not f2:
+            # F_f K_k E_e * K_mu E_e2 = q^-(mu, wt e) F_f K_(k+mu) nf(e e2)
+            f, k, e = k1
+            s = -bilinear(self.rs, mu2, self._wt(e)) if any(mu2) else 0
+            kk = vec_add(k, mu2)
+            return {(f, kk, w): c.shift(s) for w, c in self.nf._normal_form(e + e2).items()}
         cur: dict[Key, QRat] = {k1: ONE}
         for j in f2:
             nxt: dict[Key, QRat] = {}

@@ -6,7 +6,7 @@ normal form, so equality of TensorElts is equality of term maps.
 
 from __future__ import annotations
 
-from ..coeffs import QRat, ZERO, ONE, qpow
+from ..coeffs import QRat, ZERO, ONE
 from ..errors import (
     HeightOverflow,
     InternalContradiction,
@@ -18,7 +18,7 @@ from ..strata import CharacterData, CoidealTriple, validate_triple
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
 from .linalg import SpanSolver, TermMap, add_term
-from .pbw import char_eval, pbw_data, pbw_expand
+from .pbw import _PBWData, char_eval, pbw_data, pbw_expand
 
 TKey = tuple[Vec, Word, Vec, Word]
 
@@ -168,8 +168,38 @@ def psi_apply(alg: UAlgebra, x) -> UElt:
         beta = alg._wt(ew)
         norm = bilinear(alg.rs, beta, beta)
         # E_w K_{-beta} = q^{(beta,beta)} K_{-beta} E_w, so the exponent flips
-        add_term(out, ((), tuple(-b for b in beta), ew), c * qpow(norm // 2))
+        add_term(out, ((), tuple(-b for b in beta), ew), c.shift(norm // 2))
     return UElt(alg, out)
+
+
+def _twist_rows(alg: UAlgebra, data: _PBWData) -> tuple:
+    """The twist rows of a word, kept on its pbw._PBWData.
+
+    For each root index i, one row per right key (k2, e2) of
+    Delta(psi(E_{beta_i})): the key, the q-shift -(nu,nu)/2 that
+    psi^{-1} contributes for nu = beta_i - wt(e2), and the PBW vector of
+    the left leg.  None of it depends on the character.
+    """
+    rows = data.twist_rows
+    if rows is not None:
+        return rows
+    word = data.word
+    rows = []
+    for beta, x in zip(data.roots, data.free_vectors):
+        grouped: dict = {}
+        for (k1, e1, k2, e2), c in coproduct(alg, psi_apply(alg, x)).terms.items():
+            if k1 != tuple(-b for b in alg._wt(e1)):
+                raise InternalContradiction("left leg outside psi(U+)")
+            grouped.setdefault((k2, e2), {})[e1] = c
+        row = []
+        for (k2, e2), left in grouped.items():
+            nu = vec_sub(beta, alg._wt(e2))
+            # keys store K_{-nu} E_w, so psi^{-1} contributes q^{-(nu,nu)/2}
+            shift = -(bilinear(alg.rs, nu, nu) // 2)
+            row.append((((), k2, e2), shift, pbw_expand(alg, word, FreeElt(left))))
+        rows.append(tuple(row))
+    data.twist_rows = rows = tuple(rows)
+    return rows
 
 
 def twist_generators(alg: UAlgebra, char: CharacterData, L: LatticeSubgroup) -> list[UElt]:
@@ -177,32 +207,21 @@ def twist_generators(alg: UAlgebra, char: CharacterData, L: LatticeSubgroup) -> 
 
     w is the word of the stratum phi lives on.  Each
     g_i = (phi psi^{-1} (x) id) Delta(psi(E_{beta_i})); the lattice
-    contributes the grouplikes K_gamma^{+-1} for a basis of L.
+    contributes the grouplikes K_gamma^{+-1} for a basis of L.  Only
+    phi is evaluated here: the rest is the word's twist rows.
     """
     triple = CoidealTriple(char, L)
     if not validate_triple(triple):
         raise InvalidTriple("(w, char, L) fail the classification constraints")
     if char.f is None:
         raise ValueError("twisting needs concrete character values")
-    word = triple.word
-    data = pbw_data(alg, word)
     gens: list[UElt] = []
-    for i in range(1, len(word.letters) + 1):
-        y = psi_apply(alg, data.free_vectors[i - 1])
-        grouped: dict = {}
-        for (k1, e1, k2, e2), c in coproduct(alg, y).terms.items():
-            if k1 != tuple(-b for b in alg._wt(e1)):
-                raise InternalContradiction("left leg outside psi(U+)")
-            grouped.setdefault((k2, e2), {})[e1] = c
+    for row in _twist_rows(alg, pbw_data(alg, triple.word)):
         terms: dict = {}
-        for (k2, e2), left in grouped.items():
-            nu = vec_sub(data.roots[i - 1], alg._wt(e2))
-            norm = bilinear(alg.rs, nu, nu)
-            vec = pbw_expand(alg, word, FreeElt(left))
-            # keys store K_{-nu} E_w, so psi^{-1} contributes q^{-(nu,nu)/2}
-            val = qpow(-(norm // 2)) * char_eval(char, vec)
+        for key, shift, vec in row:
+            val = char_eval(char, vec)
             if val != ZERO:
-                terms[((), k2, e2)] = val
+                terms[key] = val.shift(shift)
         gens.append(UElt(alg, terms))
     for row in L.basis:
         gens.append(alg.K(row))
@@ -211,7 +230,8 @@ def twist_generators(alg: UAlgebra, char: CharacterData, L: LatticeSubgroup) -> 
 
 
 class _GeneratedSpan:
-    """Span S_h of all products of the generators up to total E-height h.
+    """Span S_h of all products of the generators up to total E-height h,
+    grown one height level at a time as its queries need.
 
     Grouplike generators are split off into a lattice L of K-exponents,
     and the span is a right module over their group algebra; the rest
@@ -221,6 +241,15 @@ class _GeneratedSpan:
     its coefficient times q^{(lam, wt e)}.  Every K_L-shift of a vector
     reduces to the same vector, so one SpanSolver holds the reduced
     spanning products, and in_span asks it about the reduced query.
+
+    The spanning products are the ordered products g_{j_1} ... g_{j_m},
+    j_1 <= ... <= j_m, whose heights (at least 1 each) sum to at most h.
+    Level b holds those of total height exactly b, each with its last
+    index, and is built from the levels below it; S_b is the span of
+    levels 0 to b.  in_span adds levels only while its query is outside
+    the span, so an answer True may come from S_b with b < h, and an
+    answer False is given only against S_h.  Both are the answers S_h
+    gives: S_b lies in S_h.
 
     S_h lies in the subalgebra C the generators generate, so testing the
     gens alone against it is exact (see coideal_check).  The model is
@@ -260,17 +289,30 @@ class _GeneratedSpan:
             if ht > h:
                 raise HeightOverflow(f"generator of height {ht} exceeds bound {h}")
             heights.append(max(ht, 1))
-
+        self._heights = heights
+        self.h = h
         self._span = SpanSolver()
+        # levels[b]: (last factor index, product) for each product of height b
+        self._levels: list[list[tuple[int, UElt]]] = []
+        self._add_level()
 
-        def products(idx: int, budget: int, acc: UElt) -> None:
-            vec = self._reduced({(mu, ew): c for (fw, mu, ew), c in acc.terms.items()})
-            self._span.insert(vec)
-            for j in range(idx, len(others)):
-                if heights[j] <= budget:
-                    products(j, budget - heights[j], acc * others[j])
+    @property
+    def level(self) -> int:
+        """The height b of the span S_b built so far."""
+        return len(self._levels) - 1
 
-        products(0, h, alg.one())
+    def _add_level(self) -> None:
+        b = len(self._levels)
+        if b == 0:
+            level = [(0, self.alg.one())]
+        else:
+            level = []
+            for j, (g, ht) in enumerate(zip(self.gens, self._heights)):
+                if ht <= b:
+                    level.extend((j, p * g) for last, p in self._levels[b - ht] if last <= j)
+        for _, p in level:
+            self._span.insert(self._reduced({(mu, ew): c for (fw, mu, ew), c in p.terms.items()}))
+        self._levels.append(level)
 
     def _reduced(self, v: dict) -> dict:
         """v with every K-exponent reduced modulo L."""
@@ -279,12 +321,17 @@ class _GeneratedSpan:
         for (k, e), c in v.items():
             r = L.reduce(k)
             if r != k:
-                c = c * qpow(bilinear(rs, vec_sub(k, r), wt(e)))
+                c = c.shift(bilinear(rs, vec_sub(k, r), wt(e)))
             add_term(out, (r, e), c)
         return out
 
     def in_span(self, v: dict) -> bool:
-        return self._span.contains(self._reduced(v))
+        """Whether v lies in S_h; levels are added only while it is outside."""
+        red = self._span.reduce(self._reduced(v))
+        while red and self.level < self.h:
+            self._add_level()
+            red = self._span.reduce(red)
+        return not red
 
 
 def _generated_span(alg: UAlgebra, gens: list[UElt], h: int) -> _GeneratedSpan:
@@ -319,7 +366,11 @@ def coideal_check(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     of Delta(g) under each right key must lie in S_h.  Delta is an
     algebra map and C (x) U^{>=0} is a subalgebra, so C is a right
     coideal exactly when Delta(g) lies in C (x) U^{>=0} for each g, and
-    S_h lies in C, so a pass certifies C.  The legs under the right key
+    S_h lies in C, so a pass certifies C.  The span grows by height only
+    as the legs need (see _GeneratedSpan): a leg found in S_b for b < h
+    is in S_h, since S_b lies in S_h, so a pass at level b is the same
+    certificate, and a leg is declared outside only once S_h is built,
+    so a fail is still decided on S_h.  The legs under the right key
     K_mu are the K-degree mu part of g, so a pass also means C is graded
     by the K-exponent.  The legs under one right key lie in one K-degree,
     where the model modulo L is exact.  Grouplikes need no test: K_row
@@ -344,8 +395,9 @@ def span_is_Q_graded(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     U+ K_beta.  C is graded by the K-exponent exactly when the K-degree
     parts of each generator lie in C, as products of homogeneous
     elements are homogeneous; each part is tested against the height-h
-    span, which lies in C.  Tested apart from coideal_check to name the
-    property on its own.
+    span, which lies in C, and which grows only as far as the parts need
+    (a part found in S_b, b < h, is in S_h; a fail is decided on S_h).
+    Tested apart from coideal_check to name the property on its own.
     """
     sp = _generated_span(alg, gens, h)
     return all(_kexp_parts_in_span(sp, g) for g in sp.gens)

@@ -387,3 +387,30 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
     assert len(fallbacks) > 100
     x = parse("(q^2 - 1)/(q^3 + 1)")
     assert x.render() == "(q - 1)/(q^2 - q + 1)"
+
+
+def test_shift_is_multiplication_by_a_q_power():
+    q = qpow(1)
+    cyclo = q * q + q + ONE
+    values = [
+        ZERO,
+        ONE,
+        from_fraction(Fraction(-3, 7)),
+        from_int(3) * qpow(2) - from_fraction(Fraction(1, 2)) * qpow(-1),
+        qpow(-4) + from_int(5) * qpow(3),
+        # a q-power in the denominator, and one in the numerator, to cancel
+        (q + from_int(2)) / qpow(3),
+        qpow(2) * (q - ONE) / (q + from_int(2)),
+        # cyclotomic denominators, with and without a q-power beside them
+        (q - ONE) / (cyclo * (q * q + ONE)),
+        qpow(-2) * from_fraction(Fraction(5, 3)) / (cyclo * cyclo),
+        q_binomial(5, 2, 2) / q_integer(3),
+    ]
+    for x in values:
+        for k in range(-6, 7):
+            got = x.shift(k)
+            assert got == x * qpow(k), (x, k)
+            # the trusted constructor skips canonicalisation, so compare the layout
+            want = x * qpow(k)
+            assert (got.c, got.num, got.den) == (want.c, want.num, want.den), (x, k)
+    assert ONE.shift(0) is ONE and ZERO.shift(5) is ZERO

@@ -9,6 +9,7 @@ from qborel.rootsys import bilinear, build_root_system, reflect, vec_neg
 from qborel.uqplus.free import FreeElt, serre_relation
 from qborel.uqplus import full
 from qborel.uqplus.full import UAlgebra, UElt, lusztig_T, root_vectors
+from qborel.uqplus.linalg import add_scaled
 from qborel.weyl import ReducedWord, all_reduced_words, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
@@ -78,6 +79,41 @@ def test_normal_form_fixed_point_and_associativity():
     p1 = ((ALG.E(1) * ALG.E(2)) * ALG.F(1)) * (ALG.K((1, 0)) * ALG.E(1))
     p2 = ALG.E(1) * ((ALG.E(2) * ALG.F(1)) * (ALG.K((1, 0)) * ALG.E(1)))
     assert p1 == p2
+
+
+def _k_then_e_letters(alg, key, mu, e2):
+    """key * K_mu E_e2 the long way: K_mu, then one E letter at a time."""
+    cur = alg._key_times_k(key, mu) if any(mu) else {key: ONE}
+    for i in e2:
+        nxt = {}
+        for k, c in cur.items():
+            add_scaled(nxt, alg._key_times_e(k, i), c)
+        cur = nxt
+    return cur
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_f_free_right_key_product_matches_the_letter_chain(monkeypatch, label):
+    rs = build_root_system(label)
+    alg = UAlgebra(rs)
+    words = [
+        w
+        for mu in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        for w in alg.nf.complement_basis(mu)
+    ]
+    kexps = [(0, 0), (1, -1), (-2, 1)]
+    lefts = [(f, k, e) for f in words[:3] + [words[-1]] for k in kexps for e in words]
+    rights = [((), mu, e2) for mu in kexps for e2 in words]
+    want = {(k1, k2): _k_then_e_letters(alg, k1, k2[1], k2[2]) for k1 in lefts for k2 in rights}
+
+    def no_walk(*args):
+        raise AssertionError("the F-free path walks the E-letters")
+
+    monkeypatch.setattr(UAlgebra, "_key_times_e", no_walk)
+    monkeypatch.setattr(UAlgebra, "_key_times_k", no_walk)
+    for (k1, k2), terms in want.items():
+        assert alg._term_times_term(k1, k2) == terms, (k1, k2)
+    assert any(k1[0] for k1, _ in want) and any(len(k2[2]) > 1 for _, k2 in want)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])

@@ -385,3 +385,101 @@ def test_lattice_rows_are_in_their_span(label):
             assert sp.in_span({(row, ()): ONE}), (gens, row)
             n_rows += 1
     assert n_rows > 0
+
+
+def _grown_to_h(alg, gens, h):
+    """The span of gens with every level up to h built at once."""
+    sp = hopf._GeneratedSpan(alg, gens, h)
+    while sp.level < h:
+        sp._add_level()
+    return sp
+
+
+def _queries(alg, sp):
+    """The queries coideal_check and span_is_Q_graded ask, in their order,
+    then the K-degree parts of the generators' products by one another
+    that stay within the height bound."""
+    for g in sp.gens:
+        yield from _left_legs(alg, g)
+    ht = {id(g): max(len(ew) for (fw, mu, ew) in g.terms) for g in sp.gens}
+    pairs = [a * b for a in sp.gens for b in sp.gens if ht[id(a)] + ht[id(b)] <= sp.h]
+    for x in sp.gens + pairs:
+        by_kexp = {}
+        for (fw, mu, ew), c in x.terms.items():
+            by_kexp.setdefault(mu, {})[(mu, ew)] = c
+        yield from by_kexp.values()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_on_demand_span_answers_as_the_span_grown_to_h(label):
+    rs = build_root_system(label)
+    alg = ALG if label == "A2" else UAlgebra(rs)
+    seen = set()
+    n_queries = n_false = n_early = 0
+    for gens in list(_span_cases(alg)) + list(_differential_cases(alg)):
+        key = tuple(gens)
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            lazy = hopf._GeneratedSpan(alg, gens, 4)
+        except (ValueError, HeightOverflow):
+            continue
+        full = _grown_to_h(alg, gens, 4)
+        for v in _queries(alg, lazy):
+            ans = lazy.in_span(v)
+            assert ans == full.in_span(v), (gens, v)
+            n_queries += 1
+            n_false += not ans
+            n_early += ans and lazy.level < 4
+        assert lazy.level <= full.level == 4
+    assert n_queries > 500 and n_false > 0 and n_early > 0
+
+
+def test_b2_w0_strata_pass_below_the_height_bound():
+    rs = build_root_system("B2")
+    alg = UAlgebra(rs)
+    w0 = max(weyl_group(rs), key=lambda g: g.length)
+    word = ReducedWord(rs, canonical_word(w0))
+    n_strata = 0
+    for st in enumerate_strata(word):
+        ch = character(st, {b: ONE for b in st.theta.roots})
+        gens = twist_generators(alg, ch, max_admissible_lattice(ch))
+        assert coideal_check(alg, gens, 4), st.theta.indices
+        sp = hopf._generated_span(alg, gens, 4)
+        assert sp.level < 4, st.theta.indices
+        n_strata += 1
+    assert n_strata > 1
+
+
+def test_a_query_outside_the_span_grows_it_to_h():
+    sp = hopf._GeneratedSpan(ALG, [ALG.E(1)], 4)
+    assert sp.level == 0
+    # E_1^2 lies in S_2 and is found there
+    assert sp.in_span({(ZERO2, (1, 1)): ONE})
+    assert sp.level == 2
+    assert not sp.in_span({(ZERO2, (2,)): ONE})
+    assert sp.level == 4
+    # the failing coideal query is decided on S_4 too
+    assert not coideal_check(ALG, [ALG.E(1)], 4)
+    assert hopf._generated_span(ALG, [ALG.E(1)], 4).level == 4
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_twist_rows_leak_no_character_value(label):
+    rs = build_root_system(label)
+    shared = UAlgebra(rs)
+    n_calls = 0
+    for g in weyl_group(rs):
+        word = ReducedWord(rs, canonical_word(g))
+        if any(sum(b) > 4 for b in word.roots):
+            continue
+        for st in enumerate_strata(word):
+            for phi in (ONE, Q, from_int(3)):
+                ch = character(st, {b: phi for b in st.theta.roots})
+                L = max_admissible_lattice(ch)
+                got = twist_generators(shared, ch, L)
+                want = twist_generators(UAlgebra(rs), ch, L)
+                assert [x.terms for x in got] == [x.terms for x in want], (word.letters, phi)
+                n_calls += 1
+    assert n_calls > 10
