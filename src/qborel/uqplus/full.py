@@ -173,42 +173,30 @@ class UAlgebra:
                 add_term(out, (f2, vec_add(k, k1), e1), scal * c2)
         return out
 
-    def _key_times_k(self, key: Key, mu: Vec) -> dict[Key, QRat]:
+    def _key_times_ke(self, key: Key, mu: Vec, e2: Word) -> dict[Key, QRat]:
+        """F_f K_k E_e * K_mu E_e2 = q^-(mu, wt e) F_f K_(k+mu) nf(e e2);
+        the E-word e of a key is in normal form already."""
         f, k, e = key
-        scal = qpow(-bilinear(self.rs, mu, self._wt(e)))
-        return {(f, vec_add(k, mu), e): scal}
-
-    def _key_times_e(self, key: Key, i: int) -> dict[Key, QRat]:
-        f, k, e = key
-        return {
-            (f, k, e2): c for e2, c in self.nf.reduce_word(e + (i,)).items()
-        }
+        s = -bilinear(self.rs, mu, self._wt(e)) if any(mu) else 0
+        kk = vec_add(k, mu)
+        if not e2:
+            return {(f, kk, e): ONE.shift(s)}
+        return {(f, kk, w): c.shift(s) for w, c in self.nf._normal_form(e + e2).items()}
 
     def _term_times_term(self, k1: Key, k2: Key) -> dict[Key, QRat]:
         f2, mu2, e2 = k2
         if not f2:
-            # F_f K_k E_e * K_mu E_e2 = q^-(mu, wt e) F_f K_(k+mu) nf(e e2)
-            f, k, e = k1
-            s = -bilinear(self.rs, mu2, self._wt(e)) if any(mu2) else 0
-            kk = vec_add(k, mu2)
-            return {(f, kk, w): c.shift(s) for w, c in self.nf._normal_form(e + e2).items()}
+            return self._key_times_ke(k1, mu2, e2)
         cur: dict[Key, QRat] = {k1: ONE}
         for j in f2:
             nxt: dict[Key, QRat] = {}
             for key, c in cur.items():
                 add_scaled(nxt, self._key_times_f(key, j), c)
             cur = nxt
-        if any(mu2):
-            nxt = {}
-            for key, c in cur.items():
-                add_scaled(nxt, self._key_times_k(key, mu2), c)
-            cur = nxt
-        for i in e2:
-            nxt = {}
-            for key, c in cur.items():
-                add_scaled(nxt, self._key_times_e(key, i), c)
-            cur = nxt
-        return cur
+        out: dict[Key, QRat] = {}
+        for key, c in cur.items():
+            add_scaled(out, self._key_times_ke(key, mu2, e2), c)
+        return out
 
 
 # ---------------------------------------------------------------------------

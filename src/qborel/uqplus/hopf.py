@@ -180,7 +180,7 @@ def _twist_rows(alg: UAlgebra, data: _PBWData) -> tuple:
     psi^{-1} contributes for nu = beta_i - wt(e2), and the PBW vector of
     the left leg.  None of it depends on the character.
     """
-    rows = data.twist_rows
+    rows = data._twist
     if rows is not None:
         return rows
     word = data.word
@@ -198,7 +198,7 @@ def _twist_rows(alg: UAlgebra, data: _PBWData) -> tuple:
             shift = -(bilinear(alg.rs, nu, nu) // 2)
             row.append((((), k2, e2), shift, pbw_expand(alg, word, FreeElt(left))))
         rows.append(tuple(row))
-    data.twist_rows = rows = tuple(rows)
+    data._twist = rows = tuple(rows)
     return rows
 
 
@@ -249,7 +249,9 @@ class _GeneratedSpan:
     levels 0 to b.  in_span adds levels only while its query is outside
     the span, so an answer True may come from S_b with b < h, and an
     answer False is given only against S_h.  Both are the answers S_h
-    gives: S_b lies in S_h.
+    gives: S_b lies in S_h.  An h above the algebra's height bound is
+    refused here, before any level is built, so no order of queries
+    decides whether it is.
 
     S_h lies in the subalgebra C the generators generate, so testing the
     gens alone against it is exact (see coideal_check).  The model is
@@ -289,6 +291,9 @@ class _GeneratedSpan:
             if ht > h:
                 raise HeightOverflow(f"generator of height {ht} exceeds bound {h}")
             heights.append(max(ht, 1))
+        if others and h > alg.nf.height_bound:
+            # fail fast, whatever levels the queries would reach
+            raise HeightOverflow(f"span height {h} exceeds the algebra's bound {alg.nf.height_bound}")
         self._heights = heights
         self.h = h
         self._span = SpanSolver()

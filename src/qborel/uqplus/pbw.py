@@ -65,9 +65,7 @@ class _PBWData:
     """Per-(algebra, word) caches: the root vectors as free elements, the
     PBW monomials, the exponent tuples of each weight, the LS relations,
     the PBW coordinates of the left multiplication columns, and the twist
-    rows hopf.twist_generators reads: for each root vector, one row per
-    right key of Delta(psi(E_beta)), with its q-shift and the PBW vector
-    of its left leg, filled by hopf on first use."""
+    rows, a slot hopf._twist_rows fills and owns."""
 
     def __init__(self, alg: UAlgebra, word: ReducedWord):
         self.alg = alg
@@ -78,7 +76,7 @@ class _PBWData:
         self._exponents: dict[Vec, tuple[Expt, ...]] = {}
         self._ls: dict[tuple[int, int], PBWVec] = {}
         self._left_mult: dict[tuple[int, Expt], dict] = {}
-        self.twist_rows: tuple | None = None  # see hopf._twist_rows
+        self._twist: tuple | None = None  # hopf._twist_rows
 
     def exponents_of_weight(self, mu: Vec) -> tuple[Expt, ...]:
         cached = self._exponents.get(mu)

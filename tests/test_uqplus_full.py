@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qborel.coeffs import ONE, from_int, qpow
-from qborel.rootsys import bilinear, build_root_system, reflect, vec_neg
+from qborel.rootsys import bilinear, build_root_system, reflect, vec_add, vec_neg
 from qborel.uqplus.free import FreeElt, serre_relation
 from qborel.uqplus import full
 from qborel.uqplus.full import UAlgebra, UElt, lusztig_T, root_vectors
@@ -81,13 +81,24 @@ def test_normal_form_fixed_point_and_associativity():
     assert p1 == p2
 
 
-def _k_then_e_letters(alg, key, mu, e2):
-    """key * K_mu E_e2 the long way: K_mu, then one E letter at a time."""
-    cur = alg._key_times_k(key, mu) if any(mu) else {key: ONE}
-    for i in e2:
+def _letter_chain(alg, key, right):
+    """key * F_f2 K_mu E_e2 the long way: one F letter at a time, then
+    K_mu, then one E letter at a time through nf.reduce_word."""
+    f2, mu, e2 = right
+    cur = {key: ONE}
+    for j in f2:
         nxt = {}
         for k, c in cur.items():
-            add_scaled(nxt, alg._key_times_e(k, i), c)
+            add_scaled(nxt, alg._key_times_f(k, j), c)
+        cur = nxt
+    nxt = {}
+    for (f, k, e), c in cur.items():
+        nxt[(f, vec_add(k, mu), e)] = c * qpow(-bilinear(alg.rs, mu, alg._wt(e)))
+    cur = nxt
+    for i in e2:
+        nxt = {}
+        for (f, k, e), c in cur.items():
+            add_scaled(nxt, {(f, k, w): c2 for w, c2 in alg.nf.reduce_word(e + (i,)).items()}, c)
         cur = nxt
     return cur
 
@@ -104,13 +115,17 @@ def test_f_free_right_key_product_matches_the_letter_chain(monkeypatch, label):
     kexps = [(0, 0), (1, -1), (-2, 1)]
     lefts = [(f, k, e) for f in words[:3] + [words[-1]] for k in kexps for e in words]
     rights = [((), mu, e2) for mu in kexps for e2 in words]
-    want = {(k1, k2): _k_then_e_letters(alg, k1, k2[1], k2[2]) for k1 in lefts for k2 in rights}
+    want = {(k1, k2): _letter_chain(alg, k1, k2) for k1 in lefts for k2 in rights}
+    # right keys with an F-word take the same closed form after their F letters
+    with_f = [((1,), (0, 0), ()), ((2,), (1, -1), (1,)), ((2, 1), (-2, 1), (1, 2))]
+    f_want = {(k1, k2): _letter_chain(alg, k1, k2) for k1 in lefts[::7] for k2 in with_f}
+    for (k1, k2), terms in f_want.items():
+        assert alg._term_times_term(k1, k2) == terms, (k1, k2)
 
     def no_walk(*args):
         raise AssertionError("the F-free path walks the E-letters")
 
-    monkeypatch.setattr(UAlgebra, "_key_times_e", no_walk)
-    monkeypatch.setattr(UAlgebra, "_key_times_k", no_walk)
+    monkeypatch.setattr(alg.nf, "reduce_word", no_walk)
     for (k1, k2), terms in want.items():
         assert alg._term_times_term(k1, k2) == terms, (k1, k2)
     assert any(k1[0] for k1, _ in want) and any(len(k2[2]) > 1 for _, k2 in want)

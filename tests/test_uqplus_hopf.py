@@ -465,6 +465,19 @@ def test_a_query_outside_the_span_grows_it_to_h():
     assert hopf._generated_span(ALG, [ALG.E(1)], 4).level == 4
 
 
+def test_a_span_above_the_height_bound_fails_fast():
+    alg = UAlgebra(build_root_system("A1"))
+    assert alg.nf.height_bound == 2
+    # span_is_Q_graded asks no query about E_1, in one K-degree, so only
+    # the construction can refuse h above the bound
+    for ask in (coideal_check, span_is_Q_graded):
+        with pytest.raises(HeightOverflow):
+            ask(alg, [alg.E(1)], 4)
+    # grouplikes alone build no product
+    assert coideal_check(alg, [alg.K((1,)), alg.K((-1,))], 4)
+    assert coideal_check(alg, [alg.E(1)], 2) is False
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_twist_rows_leak_no_character_value(label):
     rs = build_root_system(label)
