@@ -9,14 +9,28 @@ equality of their representations:
 
 * the fraction num/den is fully reduced (polynomial gcd 1),
 * num and den are primitive integer polynomials with positive leading
-  coefficient, and a single rational content factor is split off,
-* zero is (0, 0, 1).
+  coefficient, and the rational content is split off as two coprime ints
+  cn/cd with cd > 0,
+* zero is cn/cd = 0/1 with num = () and den = (1,).
 
 The classical presentation "reduced fraction with monic denominator over Q"
 is exposed through :meth:`QRat.monic_pair`; the two normal forms are in
 bijection, so structural equality is unaffected by the internal layout.
 
-Each canonical form divides once: ``_gcd_cofactors(a, b)`` returns the
+A product cross-cancels the two contents with two integer gcds (none
+when both cd are 1); a sum brings them to lcm(cd_a, cd_b) = l and reduces
+the content of its numerator over l once.
+
+Each canonical form divides once.  A product or a sum of two Laurent
+polynomials (both denominators q-powers, as for most operands the Serre
+echelon meets) has a closed form and takes no polynomial gcd:
+
+* a product num_a num_b / q^(k_a + k_b) has a primitive numerator (Gauss's
+  lemma), and only q^min(low(num), k_a + k_b) can cancel;
+* a sum shifts both numerators to q^max(k_a, k_b), adds them, splits off
+  the content and cancels the low q-power the same way.
+
+Every other pair goes through ``_gcd_cofactors(a, b)``, which returns the
 gcd g together with the cofactors a/g and b/g, by the first of three
 paths that applies.
 
@@ -93,10 +107,6 @@ def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(b):
         out[i] += x
     return _pnorm(out)
-
-
-def _pneg(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
 
 
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -264,43 +274,49 @@ def _is_monomial(a: tuple[int, ...]) -> bool:
 class QRat:
     """An element of Q(q) in canonical form.
 
-    Internally a value is ``content * num / den`` where content is a
-    Fraction and num, den are coprime primitive integer polynomials with
-    positive leading coefficients.  Instances are immutable; all arithmetic
-    returns new canonical instances, so ``==`` is structural.
+    A value is ``(cn/cd) * num/den``: the content cn/cd is a reduced
+    fraction of two ints with cd > 0, and num, den are coprime primitive
+    integer polynomials with positive leading coefficients.  The four
+    fields are plain slots; ``c`` is a read-only view of the content as a
+    Fraction.  Instances are immutable and come from the trusted
+    constructor ``_qrat`` or from :meth:`make`; all arithmetic returns new
+    canonical instances, so ``==`` is structural.
     """
 
-    __slots__ = ("c", "num", "den", "_hash")
+    __slots__ = ("cn", "cd", "num", "den")
 
-    c: Fraction
+    cn: int
+    cd: int
     num: tuple[int, ...]
     den: tuple[int, ...]
 
-    def __init__(self, c: Fraction, num: tuple[int, ...], den: tuple[int, ...]):
-        # trusted constructor: arguments must already be canonical
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("QRat is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def c(self) -> Fraction:
+        """The content cn/cd as a Fraction."""
+        return Fraction(self.cn, self.cd)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def make(c: Fraction, num: tuple[int, ...], den: tuple[int, ...]) -> "QRat":
-        """Build a canonical value from an arbitrary num/den presentation."""
+    def make(c: Fraction | int, num: tuple[int, ...], den: tuple[int, ...]) -> "QRat":
+        """Build a canonical value c * num/den from an arbitrary presentation."""
         if not den:
             raise DivisionByZero("zero denominator in Q(q)")
         if not num or c == 0:
             return ZERO
-        num, cn = _pprim(num)
-        den, cd = _pprim(den)
+        num, pn = _pprim(num)
+        den, pd = _pprim(den)
         _, num, den = _gcd_cofactors(num, den)
-        if cn != 1 or cd != 1:
-            c = c * Fraction(cn, cd)
-        return QRat(c, num, den)
+        cn, cd = c.numerator * pn, c.denominator * pd
+        if cd < 0:
+            cn, cd = -cn, -cd
+        g = gcd(cn, cd)
+        return _qrat(cn // g, cd // g, num, den)
 
     # -- predicates --------------------------------------------------------
 
@@ -308,43 +324,65 @@ class QRat:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,) and self.c == 1
+        return self.num == (1,) and self.den == (1,) and self.cn == 1 and self.cd == 1
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QRat") -> "QRat":
         if not isinstance(other, QRat):
             return NotImplemented
-        if not self.num:
+        an, bn = self.num, other.num
+        if not an:
             return other
-        if not other.num:
+        if not bn:
             return self
-        ca, cb = self.c, other.c
-        l = lcm(ca.denominator, cb.denominator)
-        ia = ca.numerator * (l // ca.denominator)
-        ib = cb.numerator * (l // cb.denominator)
-        if self.den == other.den:
-            num = _padd(_pscale(self.num, ia), _pscale(other.num, ib))
-            den = self.den
+        acd, bcd = self.cd, other.cd
+        if acd == bcd:
+            l, ia, ib = acd, self.cn, other.cn
         else:
-            _, da, db = _gcd_cofactors(self.den, other.den)
-            num = _padd(
-                _pscale(_pmul(self.num, db), ia),
-                _pscale(_pmul(other.num, da), ib),
-            )
-            den = _pmul(self.den, db)
-        if not num:
-            return ZERO
-        # den is a product of primitive positive-leading factors, so only
-        # num needs its content split off
-        num, cn = _pprim(num)
-        _, num, den = _gcd_cofactors(num, den)
-        return QRat(Fraction(cn, l), num, den)
+            l = lcm(acd, bcd)
+            ia = self.cn * (l // acd)
+            ib = other.cn * (l // bcd)
+        ad, bd = self.den, other.den
+        ka, kb = len(ad) - 1, len(bd) - 1
+        if ad.count(0) == ka and bd.count(0) == kb:
+            # Laurent sum: both numerators over q^k, k = max(ka, kb)
+            if ka < kb:
+                an, bn, ia, ib, ka, kb = bn, an, ib, ia, kb, ka
+            out = [ia * x for x in an]
+            out += [0] * (ka - kb + len(bn) - len(out))
+            for j, x in enumerate(bn, ka - kb):
+                out[j] += ib * x
+            num = _pnorm(out)
+            if not num:
+                return ZERO
+            num, cn = _pprim(num)
+            if ka and not num[0]:
+                d = min(_low(num), ka)
+                num = num[d:]
+                ka -= d
+            den = (0,) * ka + (1,)
+        else:
+            if ad == bd:
+                num = _padd(_pscale(an, ia), _pscale(bn, ib))
+                den = ad
+            else:
+                _, da, db = _gcd_cofactors(ad, bd)
+                num = _padd(_pscale(_pmul(an, db), ia), _pscale(_pmul(bn, da), ib))
+                den = _pmul(ad, db)
+            if not num:
+                return ZERO
+            # den is a product of primitive positive-leading factors, so only
+            # num needs its content split off
+            num, cn = _pprim(num)
+            _, num, den = _gcd_cofactors(num, den)
+        g = gcd(cn, l)
+        return _qrat(cn // g, l // g, num, den)
 
     def __neg__(self) -> "QRat":
         if not self.num:
             return self
-        return QRat(-self.c, self.num, self.den)
+        return _qrat(-self.cn, self.cd, self.num, self.den)
 
     def __sub__(self, other: "QRat") -> "QRat":
         return self + (-other)
@@ -352,17 +390,32 @@ class QRat:
     def __mul__(self, other: "QRat") -> "QRat":
         if not isinstance(other, QRat):
             return NotImplemented
-        if not self.num or not other.num:
+        an, bn = self.num, other.num
+        if not an or not bn:
             return ZERO
-        if self.is_one():
-            return other
-        if other.is_one():
-            return self
-        _, n1, d2 = _gcd_cofactors(self.num, other.den)
-        _, n2, d1 = _gcd_cofactors(other.num, self.den)
-        num = _pmul(n1, n2)
-        den = _pmul(d1, d2)
-        return QRat(self.c * other.c, num, den)
+        acn, acd, bcn, bcd = self.cn, self.cd, other.cn, other.cd
+        if acd == 1 and bcd == 1:
+            cn, cd = acn * bcn, 1
+        else:
+            # both contents are reduced, so only the cross pairs cancel
+            g, h = gcd(acn, bcd), gcd(bcn, acd)
+            cn = (acn // g) * (bcn // h)
+            cd = (acd // h) * (bcd // g)
+        ad, bd = self.den, other.den
+        ka, kb = len(ad) - 1, len(bd) - 1
+        if ad.count(0) == ka and bd.count(0) == kb:
+            # Laurent product: num_a num_b is primitive (Gauss's lemma), and
+            # only q^min(low(num), ka + kb) can cancel
+            num = _pmul(an, bn)
+            k = ka + kb
+            if k and not num[0]:
+                d = min(_low(num), k)
+                num = num[d:]
+                k -= d
+            return _qrat(cn, cd, num, (0,) * k + (1,))
+        _, n1, d2 = _gcd_cofactors(an, bd)
+        _, n2, d1 = _gcd_cofactors(bn, ad)
+        return _qrat(cn, cd, _pmul(n1, n2), _pmul(d1, d2))
 
     def shift(self, k: int) -> "QRat":
         """self * q^k in closed form: num and den are coprime, so at most
@@ -372,19 +425,18 @@ class QRat:
         num, den = self.num, self.den
         if k > 0:
             d = min(k, _low(den))
-            return QRat(self.c, (0,) * (k - d) + num, den[d:])
+            return _qrat(self.cn, self.cd, (0,) * (k - d) + num, den[d:])
         d = min(-k, _low(num))
-        return QRat(self.c, num[d:], (0,) * (-k - d) + den)
+        return _qrat(self.cn, self.cd, num[d:], (0,) * (-k - d) + den)
 
     def inverse(self) -> "QRat":
         if not self.num:
             raise DivisionByZero("inverse of zero in Q(q)")
-        num, den = self.den, self.num
-        c = 1 / self.c
-        if den[-1] < 0:  # keep denominators positive-leading
-            den = _pneg(den)
-            num = _pneg(num)
-        return QRat(c, num, den)
+        # num is positive-leading, so it is a valid denominator as it stands
+        cn, cd = self.cn, self.cd
+        if cn < 0:
+            return _qrat(-cd, -cn, self.den, self.num)
+        return _qrat(cd, cn, self.den, self.num)
 
     def __truediv__(self, other: "QRat") -> "QRat":
         if not isinstance(other, QRat):
@@ -410,15 +462,12 @@ class QRat:
             isinstance(other, QRat)
             and self.num == other.num
             and self.den == other.den
-            and self.c == other.c
+            and self.cn == other.cn
+            and self.cd == other.cd
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.c, self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.cn, self.cd, self.num, self.den))
 
     # -- views -------------------------------------------------------------
 
@@ -431,8 +480,9 @@ class QRat:
         """
         if not self.num:
             return (), (Fraction(1),)
+        c = self.c
         lc = self.den[-1]
-        num = tuple(self.c * x / lc for x in self.num)
+        num = tuple(c * x / lc for x in self.num)
         den = tuple(Fraction(x, lc) for x in self.den)
         return num, den
 
@@ -448,10 +498,11 @@ class QRat:
         if not self.num:
             return "0"
         if _is_monomial(self.den):
+            c = self.c
             shift = len(self.den) - 1
             terms = []
             for e in range(len(self.num) - 1, -1, -1):
-                co = self.c * self.num[e]
+                co = c * self.num[e]
                 if co:
                     terms.append((e - shift, co))
             return _render_laurent(terms)
@@ -462,6 +513,23 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat({self.render()})"
+
+
+_new = object.__new__
+_set_cn, _set_cd, _set_num, _set_den = (
+    vars(QRat)[f].__set__ for f in ("cn", "cd", "num", "den")
+)
+
+
+def _qrat(cn: int, cd: int, num: tuple[int, ...], den: tuple[int, ...]) -> QRat:
+    # trusted constructor: the arguments must already be canonical; the
+    # slots' own setters bypass the raising __setattr__
+    x = _new(QRat)
+    _set_cn(x, cn)
+    _set_cd(x, cd)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
 
 
 def _render_laurent(terms: list[tuple[int, Fraction]]) -> str:
@@ -483,28 +551,29 @@ def _render_laurent(terms: list[tuple[int, Fraction]]) -> str:
 
 # ---------------------------------------------------------------------------
 
-ZERO = QRat(Fraction(0), (), (1,))
-ONE = QRat(Fraction(1), (1,), (1,))
-Q = QRat(Fraction(1), (0, 1), (1,))
+ZERO = _qrat(0, 1, (), (1,))
+ONE = _qrat(1, 1, (1,), (1,))
+Q = _qrat(1, 1, (0, 1), (1,))
 
 
 def from_int(n: int) -> QRat:
     if n == 0:
         return ZERO
-    return QRat(Fraction(n), (1,), (1,))
+    return _qrat(n, 1, (1,), (1,))
 
 
 def from_fraction(x: Fraction) -> QRat:
     if x == 0:
         return ZERO
-    return QRat(Fraction(x), (1,), (1,))
+    x = Fraction(x)
+    return _qrat(x.numerator, x.denominator, (1,), (1,))
 
 
 def qpow(k: int) -> QRat:
     """The monomial q^k, k may be negative."""
     if k >= 0:
-        return QRat(Fraction(1), (0,) * k + (1,), (1,))
-    return QRat(Fraction(1), (1,), (0,) * (-k) + (1,))
+        return _qrat(1, 1, (0,) * k + (1,), (1,))
+    return _qrat(1, 1, (1,), (0,) * (-k) + (1,))
 
 
 def q_integer(n: int, d: int = 1) -> QRat:

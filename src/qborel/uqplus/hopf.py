@@ -106,7 +106,11 @@ def counit(alg: UAlgebra, x: UElt) -> QRat:
 
 def check_counit_law(alg: UAlgebra, x: UElt) -> bool:
     """(eps (x) id) Delta = id = (id (x) eps) Delta."""
-    t = coproduct(alg, x)
+    return _counit_law_holds(x, coproduct(alg, x))
+
+
+def _counit_law_holds(x: UElt, t: TensorElt) -> bool:
+    # the counit law for x, read off t = Delta(x)
     left: dict = {}
     right: dict = {}
     for (k1, e1, k2, e2), c in t.terms.items():
@@ -118,7 +122,12 @@ def check_counit_law(alg: UAlgebra, x: UElt) -> bool:
 
 
 def check_coassociativity(alg: UAlgebra, x: UElt) -> bool:
-    t = coproduct(alg, x)
+    """(Delta (x) id) Delta = (id (x) Delta) Delta."""
+    return _coassociative(alg, coproduct(alg, x))
+
+
+def _coassociative(alg: UAlgebra, t: TensorElt) -> bool:
+    # coassociativity, read off t = Delta(x)
     lhs: dict = {}
     rhs: dict = {}
     for (k1, e1, k2, e2), c in t.terms.items():

@@ -19,7 +19,7 @@ from qborel.cli import (
     suite_weyl,
 )
 from qborel.rootsys import build_root_system
-from qborel.uqplus.free import kostant_dim
+from qborel.uqplus.free import NFContext, kostant_dim
 from qborel.uqplus.full import UAlgebra, root_vectors
 from qborel.uqplus.pbw import pbw_data
 from qborel.weyl import ReducedWord, all_reduced_words, weyl_group
@@ -212,3 +212,18 @@ def test_16_rank3_root_vectors():
     # 2.3-2.7 s on a 2-core x86-64 host (5.1-5.6 s before the F-free path of
     # lusztig_T), and the budget is about twice that
     assert elapsed < 4.5, f"{elapsed:.1f}s"
+
+
+def test_17_rank3_serre_echelon():
+    t0 = time.perf_counter()
+    rs = build_root_system("B3")
+    nf = NFContext(rs)
+    weights = [mu for mu in product(range(11), repeat=3) if 0 < sum(mu) <= nf.height_bound]
+    wrong = [mu for mu in weights if nf.dim_plus(mu) != kostant_dim(rs, mu)]
+    elapsed = time.perf_counter() - t0
+    assert (nf.height_bound, len(weights), wrong) == (10, 285, [])
+    # every weight of B3 up to its default height 10, one fresh echelon;
+    # measured 0.9-1.2 s on a 2-core x86-64 host (1.9-2.2 s with a Fraction
+    # content and no Laurent closed forms in QRat), and the budget is about
+    # twice that
+    assert elapsed < 2.5, f"{elapsed:.1f}s"

@@ -414,3 +414,149 @@ def test_shift_is_multiplication_by_a_q_power():
             want = x * qpow(k)
             assert (got.c, got.num, got.den) == (want.c, want.num, want.den), (x, k)
     assert ONE.shift(0) is ONE and ZERO.shift(5) is ZERO
+
+
+# ---------------------------------------------------------------------------
+# the Laurent closed forms of __mul__ and __add__ against the general path
+
+
+def _laurent_qrats(st):
+    """Values biased to q-power denominators and fractional contents."""
+    coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(_strip).filter(bool)
+
+    @st.composite
+    def build(draw):
+        num = draw(coeffs)
+        if draw(st.integers(0, 4)):
+            den = (1,)  # a Laurent value: the q-power goes in through the shift
+        else:
+            den = draw(coeffs)
+        shift = draw(st.integers(-3, 3))
+        if shift > 0:
+            num = (0,) * shift + num
+        else:
+            den = (0,) * -shift + den
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 4, 6, 9, 12))))
+        return QRat.make(c, num, den)
+
+    return build()
+
+
+def test_laurent_ops_match_sympy():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(_laurent_qrats(hyp.strategies), _laurent_qrats(hyp.strategies))
+    def check(x, y):
+        sx, sy = _sympy_value(sympy, x), _sympy_value(sympy, y)
+        assert (x * y).monic_pair() == _sympy_monic_pair(sympy, sx * sy)
+        assert (x + y).monic_pair() == _sympy_monic_pair(sympy, sx + sy)
+        # monic_pair rebuilds the content as a Fraction, so the layout is
+        # checked apart
+        assert _layout(x * y) == _layout(_make_product(x, y))
+        assert _layout(x + y) == _layout(_make_sum(x, y))
+        # taking y back off cancels the q-powers it brought in
+        assert _layout((x + y) - y) == _layout(x)
+
+    check()
+
+
+def _laurent(c, exps):
+    """c * sum of q^e over exps, built through make on a q-power denominator."""
+    low = min(exps)
+    num = [0] * (max(exps) - low + 1)
+    for e in exps:
+        num[e - low] += 1
+    if low >= 0:
+        return QRat.make(c, (0,) * low + tuple(num), (1,))
+    return QRat.make(c, tuple(num), (0,) * -low + (1,))
+
+
+def _differential_values():
+    cyclo = (1, 1, 1)
+    return [
+        _laurent(Fraction(3, 4), [0]),
+        _laurent(Fraction(2, 9), [0]),
+        _laurent(Fraction(3, 4), [-3]),
+        _laurent(Fraction(-2, 9), [2]),
+        _laurent(Fraction(1), [3, 4]),  # q^3 (1 + q): cancels a q^-k denominator
+        _laurent(Fraction(-1), [-3, -2]),  # q^-3 (1 + q)
+        _laurent(Fraction(5, 6), [-2, 1]),
+        _laurent(Fraction(-5, 6), [-2, 1]),  # the negative of the one above
+        _laurent(Fraction(1), [-1, 0]),
+        _laurent(Fraction(-1), [-1, 1]),  # adds to q^-1 + 1 as 1 - q: a low q-power cancels
+        _laurent(Fraction(7, 2), [-4, -2, 0, 2, 4]),
+        _laurent(Fraction(-7, 2), [-4, 0]),
+        # cyclotomic denominators, with and without a q-power beside them
+        QRat.make(Fraction(1, 3), (0, 1, 1), cyclo),
+        QRat.make(Fraction(-4, 5), (2, 0, 1), (0, 0) + cyclo),
+        QRat.make(Fraction(9, 4), (0, 0, 0, 1), (1, 0, 1)),
+    ]
+
+
+def _layout(x):
+    return (x.cn, x.cd, x.num, x.den)
+
+
+def _make_product(x, y):
+    """x * y through make on the unreduced num/den, no closed form."""
+    return QRat.make(Fraction(x.cn * y.cn, x.cd * y.cd), _mul(x.num, y.num), _mul(x.den, y.den))
+
+
+def _make_sum(x, y):
+    """x + y through make on the unreduced num/den, no closed form."""
+    num = [0] * (len(x.num) + len(y.den) + len(y.num) + len(x.den))
+    for i, v in enumerate(_mul(x.num, y.den)):
+        num[i] += x.cn * y.cd * v
+    for i, v in enumerate(_mul(y.num, x.den)):
+        num[i] += y.cn * x.cd * v
+    return QRat.make(Fraction(1, x.cd * y.cd), _strip(num), _mul(x.den, y.den))
+
+
+def test_laurent_paths_match_make_on_the_unreduced_forms():
+    values = _differential_values()
+    q_cancel = zero_sums = 0
+    for x in values:
+        for y in values:
+            assert _layout(x * y) == _layout(_make_product(x, y)), (x, y)
+            assert _layout(x + y) == _layout(_make_sum(x, y)), (x, y)
+            zero_sums += (x + y).is_zero()
+            both = x.den.count(0) == len(x.den) - 1 and y.den.count(0) == len(y.den) - 1
+            q_cancel += both and len((x * y).den) < len(x.den) + len(y.den) - 1
+    assert zero_sums == 2 and q_cancel > 10
+    third, two_ninths = values[0], values[1]
+    assert _layout(third * two_ninths) == (1, 6, (1,), (1,))
+    # q^3 (1 + q) * q^-3 (1 + q) = (1 + q)^2, and q^-3 * q^2 = q^-1
+    assert _layout(values[4] * values[5]) == (-1, 1, (1, 2, 1), (1,))
+    assert _layout(values[2] * values[3]) == (-1, 6, (1,), (0, 1))
+    # (q^-1 + 1) + (-q^-1 - q) = 1 - q: the q^-1 denominator cancels
+    assert _layout(values[8] + values[9]) == (-1, 1, (-1, 1), (1,))
+    assert values[6] + values[7] == ZERO and values[10] - values[10] == ZERO
+
+
+def test_qrat_is_an_immutable_value_type():
+    x = QRat.make(Fraction(3, 4), (1, 0, 2), (0, 1))
+    for field in ("cn", "cd", "num", "den", "c"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert _layout(x) == (3, 4, (1, 0, 2), (0, 1)) and x.c == Fraction(3, 4)
+    for bad in (lambda: x * 3, lambda: 3 * x, lambda: x + 1, lambda: x + (1,)):
+        with pytest.raises(TypeError):
+            bad()
+    # equal values reached by different paths hash equal
+    q = qpow(1)
+    pairs = [
+        ((q + ONE) * (q - ONE), qpow(2) - ONE),
+        (QRat.make(Fraction(6, 8), (2, 0, 4), (0, 2)), x),
+        (from_fraction(Fraction(3, 4)) * qpow(-1) * (ONE + from_int(2) * qpow(2)), x),
+        (ONE / (ONE + q), (ONE - q) / (ONE - q * q)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    # a value never equals the tuple of its own fields
+    for v in (ZERO, ONE, x):
+        assert v != _layout(v) and v != (v.c, v.num, v.den) and v != v.num
+        assert not v == tuple(v.num)

@@ -91,6 +91,29 @@ def test_coalgebra_laws_sampled(label):
         assert coproduct(alg, x2 * y2) == coproduct(alg, x2) * coproduct(alg, y2)
 
 
+def test_laws_read_the_coproduct_they_are_given():
+    x = ALG.E(1) * ALG.E(2) + ALG.K((1, -1))
+    t = coproduct(ALG, x)
+    assert hopf._coassociative(ALG, t) and hopf._counit_law_holds(x, t)
+    # a tensor that is not Delta(x): E_1 (x) E_1 breaks coassociativity, and
+    # dropping the term 1 (x) E_1 E_2 breaks the counit law
+    bad = t + hopf.TensorElt(ALG, {(ZERO2, (1,), ZERO2, (1,)): ONE})
+    assert not hopf._coassociative(ALG, bad) and hopf._counit_law_holds(x, bad)
+    cut = hopf.TensorElt(ALG, {k: c for k, c in t.terms.items() if k[1]})
+    assert not hopf._counit_law_holds(x, cut)
+
+
+def test_suite_hopf_forms_one_coproduct_per_sample(monkeypatch):
+    from qborel import cli
+
+    samples = []
+    real = cli.coproduct
+    monkeypatch.setattr(cli, "coproduct", lambda alg, x: samples.append(x) or real(alg, x))
+    checks = cli.suite_hopf(A2, "A2")
+    assert all(c.ok for c in checks)
+    assert len(samples) == 25
+
+
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_graded_compatibility_sampled(label):
     rs = build_root_system(label)
