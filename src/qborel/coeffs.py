@@ -304,7 +304,12 @@ class QRat:
 
     @staticmethod
     def make(c: Fraction | int, num: tuple[int, ...], den: tuple[int, ...]) -> "QRat":
-        """Build a canonical value c * num/den from an arbitrary presentation."""
+        """Build a canonical value c * num/den from an arbitrary presentation.
+
+        Trailing zero coefficients are stripped first, so a zero
+        denominator raises DivisionByZero however it is written.
+        """
+        num, den = _pnorm(list(num)), _pnorm(list(den))
         if not den:
             raise DivisionByZero("zero denominator in Q(q)")
         if not num or c == 0:

@@ -175,9 +175,9 @@ class RootSystem:
     partition counts that ``uqplus.free.kostant_dim`` keys by (root index,
     remaining weight) and fills as it is asked; and ``_weyl_table``, which
     ``weyl`` fills as elements are used: under an orbit vector w(2 rho),
-    the list [pairings, length, canonical word] of w, each computed on
-    first use, and under ("s", beta), the element that
-    ``weyl.reflection_of_root`` returns for the root beta.
+    the one ``WeylElt`` object of w, which carries its own data, and under
+    ("s", beta), the element that ``weyl.reflection_of_root`` returns for
+    the root beta.
     """
 
     cartan: tuple[tuple[int, ...], ...]
@@ -324,15 +324,14 @@ def load_cartan_file(path: str) -> RootSystem:
 
 
 def bilinear(rs: RootSystem, x, y):
-    """(x, y) under the symmetrized form; exact, works on Fraction vectors."""
-    g = rs.gram
-    n = rs.rank
+    """(x, y) under the symmetrized form; exact, works on Fraction vectors.
+
+    One dot product of y with row i of the Gram matrix per nonzero x_i.
+    """
     total = 0
-    for i in range(n):
-        xi = x[i]
+    for xi, row in zip(x, rs.gram):
         if xi:
-            row = g[i]
-            total += xi * sum(row[j] * y[j] for j in range(n) if y[j])
+            total += xi * sum(map(mul, row, y))
     return total
 
 

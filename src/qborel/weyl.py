@@ -17,20 +17,21 @@ in Weyl groups, Invent. Math. 116, 1994):
 * one step of a descent walk (canonical_word, all_reduced_words,
   bruhat_le), which updates the pairings (alpha_i, v) directly.
 
-The pairings, the length #{beta > 0 : (beta, v) < 0} and the canonical
-word are computed once per element of the group, not once per WeylElt
-object: products land on the same few elements again and again.
-``act``, ``act_inv`` and a product whose left factor is not a reflection
-walk the canonical word one simple reflection at a time.
+Each element is one WeylElt object per root system, made on first use,
+so products land on existing objects again and again.  An element carries
+its own data: the pairings and the length #{beta > 0 : (beta, v) < 0},
+filled when it is made, the canonical word and the inversion set, filled
+on first use, and the products s_beta * w with a reflection on the left,
+kept on w under beta as they are formed.  ``act``, ``act_inv`` and a
+product whose left factor is not a reflection walk the canonical word one
+simple reflection at a time.
 
 Nothing is cached at module level.  The RootSystem keeps the coroot row of
-every root, the list of group elements and ``_weyl_table``: the pairings,
-length and canonical word of each element used so far, keyed by its orbit
-vector, and the element s_beta of each root used so far, keyed by
-("s", beta) so that it cannot meet an orbit vector (in A1 the orbit
-vectors are the roots themselves).  A WeylElt keeps nothing but its
-fields.  A ReducedWord computes its element and its roots once, when it
-is built.
+every root, the list of group elements and ``_weyl_table``: each element
+used so far, keyed by its orbit vector, and the element s_beta of each
+root used so far, keyed by ("s", beta) so that it cannot meet an orbit
+vector (in A1 the orbit vectors are the roots themselves).  A ReducedWord
+computes its element and its roots once, when it is built.
 
 The module also implements the two pieces of chain surgery used by the
 classification combinatorics: a three-reflection rewriting step and the
@@ -92,21 +93,65 @@ def _descend(rs: RootSystem, p: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([x - k * g for x, g in zip(p, rs.gram[i])])
 
 
-@dataclass(frozen=True)
 class WeylElt:
     """Group element w, stored by its orbit vector ``vec`` = w(2 rho).
 
-    Equality and hashing use ``vec`` alone.  ``root`` is set to beta when
-    the element was built as the reflection s_beta, so that a product with
-    it on the left is one O(n) reflection of a vector; it takes no part in
-    equality.  The pairings (alpha_i, vec), which give the left descents,
-    the length and the canonical word are read from the root system's
-    ``_weyl_table``, where each is computed on first use for this ``vec``.
+    There is one object per element and root system: ``WeylElt(rs, vec)``
+    returns the element that ``rs._weyl_table`` holds under ``vec``, and
+    makes and stores it on first use.  Equality and hashing use ``vec``
+    alone, so elements of two equal root systems compare equal.
+
+    ``root`` is set to beta once the element has been asked for as the
+    reflection s_beta; it takes no part in equality.  With it, a product
+    s_beta * x is one O(n) reflection of x's vector, kept on x under beta.
+    The slots ``_pairings`` ((alpha_i, vec) for each i, negative exactly at
+    the left descents) and ``length`` (the number of positive roots beta
+    with (beta, vec) < 0) are filled when the element is made; the
+    canonical word and the inversion set on first use.  The fields are
+    read-only.
     """
 
-    rs: RootSystem = field(compare=False)
+    __slots__ = (
+        "rs",
+        "vec",
+        "root",
+        "_pairings",
+        "length",
+        "_canonical",
+        "_inversions",
+        "_products",
+    )
+
+    rs: RootSystem
     vec: Vec
-    root: Vec | None = field(default=None, compare=False)
+    root: Vec | None
+    _pairings: tuple[int, ...]
+    length: int
+    _canonical: tuple[int, ...] | None
+    _inversions: tuple[Vec, ...] | None
+    _products: dict | None
+
+    def __new__(cls, rs: RootSystem, vec: Vec, root: Vec | None = None) -> "WeylElt":
+        table = rs._weyl_table
+        w = table.get(vec)
+        if w is None:
+            w = table[vec] = _weyl_elt(rs, vec)
+        if root is not None and w.root is None:
+            _set_root(w, root)
+        return w
+
+    def __setattr__(self, *a):
+        raise AttributeError("WeylElt is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not WeylElt:
+            return NotImplemented
+        return self is other or self.vec == other.vec
+
+    def __hash__(self) -> int:
+        return hash(self.vec)
 
     def act(self, v):
         """w(v) for a vector in simple root coordinates: the canonical word
@@ -118,41 +163,37 @@ class WeylElt:
         return _walk(self.rs, self._word, v)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        """(u v)(2 rho) = u(v(2 rho)): one reflection if u is s_beta, else u.act."""
+        """(u v)(2 rho) = u(v(2 rho)): one reflection if u is s_beta, kept
+        on v under beta, else u.act."""
         rs = self.rs
-        if rs is not other.rs and rs != other.rs:
-            raise ValueError("elements of different Weyl groups")
-        if self.root is not None:
-            return WeylElt(rs, reflect(rs, self.root, other.vec))
-        return WeylElt(rs, self.act(other.vec))
+        if rs is not other.rs:
+            if rs != other.rs:
+                raise ValueError("elements of different Weyl groups")
+            other = WeylElt(rs, other.vec)
+        root = self.root
+        if root is None:
+            return WeylElt(rs, self.act(other.vec))
+        products = other._products
+        if products is None:
+            products = {}
+            _set_products(other, products)
+        else:
+            w = products.get(root)
+            if w is not None:
+                return w
+        w = products[root] = WeylElt(rs, reflect(rs, root, other.vec))
+        return w
 
     def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, self.act_inv(self.rs.two_rho), self.root)
-
-    def _entry(self) -> list:
-        """[pairings, length, canonical word] of vec in the table; the
-        pairings are filled when the entry is made, the others are None
-        until first use."""
-        table = self.rs._weyl_table
-        entry = table.get(self.vec)
-        if entry is None:
-            v = self.vec
-            p = tuple([sum(map(mul, row, v)) for row in self.rs.gram])
-            entry = table[v] = [p, None, None]
-        return entry
-
-    @property
-    def _pairings(self) -> tuple[int, ...]:
-        """(alpha_i, vec) for each i; negative exactly at the left descents."""
-        return self._entry()[0]
+        return WeylElt(self.rs, self.act_inv(self.rs.two_rho))
 
     @property
     def _word(self) -> tuple[int, ...]:
         """The smallest left descent i, then the canonical word of s_i w."""
-        entry = self._entry()
-        if entry[2] is None:
+        word = self._canonical
+        if word is None:
             rs = self.rs
-            p = entry[0]
+            p = self._pairings
             letters = []
             while True:
                 i = next((i for i, x in enumerate(p) if x < 0), None)
@@ -160,26 +201,13 @@ class WeylElt:
                     break
                 letters.append(i + 1)
                 p = _descend(rs, p, i)
-            entry[2] = tuple(letters)
-        return entry[2]
+            word = tuple(letters)
+            _set_canonical(self, word)
+        return word
 
     @property
     def is_identity(self) -> bool:
         return self.vec == self.rs.two_rho
-
-    @property
-    def length(self) -> int:
-        """Number of positive roots beta with (beta, vec) < 0.
-
-        (beta, w(2 rho)) = (w^{-1}(beta), 2 rho) is negative exactly when
-        w^{-1} sends beta to a negative root, and (beta, vec) is
-        sum_j beta_j (alpha_j, vec).
-        """
-        entry = self._entry()
-        if entry[1] is None:
-            p = entry[0]
-            entry[1] = sum([sum(map(mul, beta, p)) < 0 for beta in self.rs.pos_roots])
-        return entry[1]
 
     def left_descents(self) -> list[int]:
         """Simple indices i with length(s_i * w) < length(w), ascending.
@@ -195,6 +223,38 @@ class WeylElt:
         return "WeylElt(" + "".join(f"s{i}" for i in self._word) + ")"
 
 
+_new = object.__new__
+(
+    _set_rs,
+    _set_vec,
+    _set_root,
+    _set_pairings,
+    _set_length,
+    _set_canonical,
+    _set_inversions,
+    _set_products,
+) = (vars(WeylElt)[f].__set__ for f in WeylElt.__slots__)
+
+
+def _weyl_elt(rs: RootSystem, vec: Vec) -> WeylElt:
+    # the one constructor, called by WeylElt.__new__ for a vector the table
+    # does not hold yet; the slots' own setters bypass the raising
+    # __setattr__.  (beta, vec) is sum_j beta_j (alpha_j, vec), and
+    # (beta, w(2 rho)) = (w^{-1}(beta), 2 rho) is negative exactly when
+    # w^{-1} sends beta to a negative root.
+    p = tuple([sum(map(mul, row, vec)) for row in rs.gram])
+    w = _new(WeylElt)
+    _set_rs(w, rs)
+    _set_vec(w, vec)
+    _set_root(w, None)
+    _set_pairings(w, p)
+    _set_length(w, sum([sum(map(mul, beta, p)) < 0 for beta in rs.pos_roots]))
+    _set_canonical(w, None)
+    _set_inversions(w, None)
+    _set_products(w, None)
+    return w
+
+
 def identity(rs: RootSystem) -> WeylElt:
     return WeylElt(rs, rs.two_rho)
 
@@ -202,10 +262,7 @@ def identity(rs: RootSystem) -> WeylElt:
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     if not 1 <= i <= rs.rank:
         raise BadIndex(f"simple index {i} is not in 1..{rs.rank}")
-    # <2 rho, alpha_i^vee> = 2, so s_i(2 rho) = 2 rho - 2 alpha_i
-    vec = list(rs.two_rho)
-    vec[i - 1] -= 2
-    return WeylElt(rs, tuple(vec), rs.simple(i))
+    return reflection_of_root(rs, rs.simple(i))
 
 
 def from_word(rs: RootSystem, letters) -> WeylElt:
@@ -272,16 +329,21 @@ class ReducedWord:
 def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
     """Positive roots made negative by w^{-1}, in canonical root order.
 
-    They are the beta > 0 with (beta, w(2 rho)) < 0.
+    They are the beta > 0 with (beta, w(2 rho)) < 0.  Computed once per
+    element and kept on it.
     """
-    p = w._pairings
-    return tuple(beta for beta in w.rs.pos_roots if sum(map(mul, beta, p)) < 0)
+    inv = w._inversions
+    if inv is None:
+        p = w._pairings
+        inv = tuple([beta for beta in w.rs.pos_roots if sum(map(mul, beta, p)) < 0])
+        _set_inversions(w, inv)
+    return inv
 
 
 def canonical_word(w: WeylElt) -> tuple[int, ...]:
     """Lexicographically smallest reduced word (greedy smallest descent).
 
-    Computed once per element and kept in the root system's table.
+    Computed once per element and kept on it.
     """
     return w._word
 
@@ -306,23 +368,24 @@ def all_reduced_words(w: WeylElt) -> list[tuple[int, ...]]:
 def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
     """All group elements, sorted by (length, canonical word).
 
-    Enumerated by left multiplication by the simple reflections, with
-    duplicates found by the orbit vector.  Built on the first call and kept
-    on the root system.
+    Enumerated on the orbit of 2 rho under the simple reflections, so no
+    product is formed and none is kept on the elements.  Built on the first
+    call and kept on the root system.
     """
     if rs._weyl_group is not None:
         return rs._weyl_group
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    seen = {identity(rs)}
+    letters = [(i,) for i in range(1, rs.rank + 1)]
+    seen = {rs.two_rho}
     frontier = list(seen)
     while frontier:
-        w = frontier.pop()
-        for s in gens:
-            nxt = s * w
+        v = frontier.pop()
+        for s in letters:
+            nxt = _walk(rs, s, v)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    group = tuple(sorted(seen, key=lambda w: (w.length, canonical_word(w))))
+    elements = (WeylElt(rs, v) for v in seen)
+    group = tuple(sorted(elements, key=lambda w: (w.length, canonical_word(w))))
     object.__setattr__(rs, "_weyl_group", group)
     return group
 

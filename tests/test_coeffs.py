@@ -560,3 +560,16 @@ def test_qrat_is_an_immutable_value_type():
     for v in (ZERO, ONE, x):
         assert v != _layout(v) and v != (v.c, v.num, v.den) and v != v.num
         assert not v == tuple(v.num)
+
+
+def test_make_strips_trailing_zeros_first():
+    # the zero polynomial written as (0,) is zero, as a numerator or a denominator
+    assert _layout(QRat.make(1, (0,), (1,))) == _layout(ZERO)
+    assert _layout(QRat.make(Fraction(2, 3), (0, 0), (1, 2))) == _layout(ZERO)
+    for den in ((0,), (0, 0)):
+        with pytest.raises(DivisionByZero):
+            QRat.make(1, (1,), den)
+    # a padded numerator or denominator gives the canonical value
+    assert _layout(QRat.make(1, (1, 0), (1,))) == _layout(ONE)
+    assert QRat.make(1, (1, 0), (1,)) == ONE
+    assert _layout(QRat.make(3, (2, 4, 0), (0, 6, 0, 0))) == _layout(QRat.make(1, (1, 2), (0, 1)))

@@ -60,6 +60,39 @@ def test_bilinear_and_heights():
         height(A2, (1, -1))
 
 
+def _bilinear_triple_loop(rs, x, y):
+    """The loop that ``bilinear`` replaced: x_i, then row i, then y_j."""
+    g = rs.gram
+    n = rs.rank
+    total = 0
+    for i in range(n):
+        xi = x[i]
+        if xi:
+            row = g[i]
+            total += xi * sum(row[j] * y[j] for j in range(n) if y[j])
+    return total
+
+
+@pytest.mark.parametrize("label", ("A1", "G2", "B3", "C3", "D4", "F4"))
+def test_bilinear_matches_the_triple_loop(label):
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    n = rs.rank
+    ints = list(rs.pos_roots) + [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(20)]
+    ints.append((0,) * n)
+    fracs = [
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)) for _ in range(20)
+    ]
+    for x in ints:
+        for y in ints:
+            got = bilinear(rs, x, y)
+            assert got == _bilinear_triple_loop(rs, x, y) and type(got) is int
+    for x in fracs + ints[:5]:
+        for y in fracs:
+            assert bilinear(rs, x, y) == _bilinear_triple_loop(rs, x, y)
+            assert bilinear(rs, y, x) == _bilinear_triple_loop(rs, y, x)
+
+
 def test_reflect():
     assert reflect(A2, (1, 0), (0, 1)) == (1, 1)
     assert reflect(B2, (1, 0), (0, 1)) == (2, 1)

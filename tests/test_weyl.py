@@ -7,9 +7,11 @@ from operator import mul
 import pytest
 
 from qborel.errors import BadIndex, InvalidChain, NoNonorthogonalPair, NotReduced
-from qborel.rootsys import bilinear, build_root_system
+from qborel.cli import suite_weyl
+from qborel.rootsys import bilinear, build_root_system, reflect
 from qborel.weyl import (
     ReducedWord,
+    WeylElt,
     all_reduced_words,
     bruhat_le,
     canonical_word,
@@ -358,8 +360,8 @@ def test_fast_weyl_paths_match_the_direct_definitions(label):
     for beta in rs.pos_roots:
         for root in (beta, tuple(-c for c in beta)):
             assert _matrix(reflection_of_root(rs, root)) == _cartan_reflection(rs, beta)
-    # new WeylElt objects for elements the table already holds, and for the
-    # reflections it keeps: each must read its own entry
+    # products by the reflections the table keeps land on elements it
+    # already holds: each must carry its own data
     rng = random.Random(label)
     sample = rng.sample(group, min(len(group), 12))
     for beta in rs.pos_roots:
@@ -383,6 +385,10 @@ def _orbit_entries(rs):
     return {k: v for k, v in rs._weyl_table.items() if k[0] != "s"}
 
 
+def _kept_products(rs):
+    return sum(len(w._products or ()) for w in _orbit_entries(rs).values())
+
+
 def test_weyl_table_is_owned_by_its_root_system():
     rs = build_root_system("B3")
     # filled on first use, not by build_root_system
@@ -390,28 +396,95 @@ def test_weyl_table_is_owned_by_its_root_system():
     group = weyl_group(rs)
     entries = _orbit_entries(rs)
     assert len(entries) == len(rs._weyl_table) == 48
-    assert set(entries) == {w.vec for w in group}
+    # one entry per element: the element itself, carrying its own data
     for w in group:
-        assert entries[w.vec] == [w._pairings, w.length, canonical_word(w)]
-    # asking again, or through new objects for the same elements, adds nothing
+        assert entries[w.vec] is w
+        assert w._pairings == tuple(bilinear(rs, rs.simple(i), w.vec) for i in range(1, 4))
+        assert w.length == len(canonical_word(w)) and w._canonical is canonical_word(w)
+    # asking again, or through a fresh WeylElt, adds nothing
     assert weyl_group(rs) is group
     for w in group:
-        x = from_word(rs, canonical_word(w))
-        assert x is not w and x.length == w.length and x.left_descents() == w.left_descents()
+        assert WeylElt(rs, w.vec) is w
     assert len(rs._weyl_table) == 48
+    # a word adds only the simple reflections it is read with
+    for w in group:
+        assert from_word(rs, canonical_word(w)) is w
+    assert len(_orbit_entries(rs)) == 48
+    assert set(rs._weyl_table) - set(entries) == {("s", rs.simple(i)) for i in range(1, 4)}
     # a reflection is kept once per root, under a key of its own
     beta = rs.pos_roots[-1]
     t = reflection_of_root(rs, beta)
-    assert reflection_of_root(rs, beta) is t
+    assert reflection_of_root(rs, beta) is t and t.root == beta
     assert rs._weyl_table[("s", beta)] is t
     assert {t * w for w in group} == set(group)
-    assert len(_orbit_entries(rs)) == 48 and len(rs._weyl_table) == 49
+    assert len(_orbit_entries(rs)) == 48 and len(rs._weyl_table) == 52
+    # a second equal root system shares nothing: equal elements, new objects
     other = build_root_system("B3")
     assert other == rs and other._weyl_table == {}
     assert list(weyl_group(other)) == list(group)
     assert other._weyl_table is not rs._weyl_table
-    assert _orbit_entries(other) == _orbit_entries(rs)
-    assert len(rs._weyl_table) == 49
+    assert all(x == w and x is not w for x, w in zip(weyl_group(other), group))
+    assert all(WeylElt(other, w.vec) is x for x, w in zip(weyl_group(other), group))
+    assert len(_orbit_entries(other)) == 48 and _kept_products(other) == 0
+    # a product across the two lands in the left factor's table, kept there
+    for x, w in zip(weyl_group(other), group):
+        assert t * x is t * w
+    assert _kept_products(other) == 0
+    assert len(rs._weyl_table) == 52
+
+
+@pytest.mark.parametrize("label", DIFF_TYPES)
+def test_products_by_a_reflection_are_fresh_reflections(label):
+    rs = build_root_system(label)
+    group = weyl_group(rs)
+    for beta in rs.pos_roots:
+        for root in (beta, tuple(-c for c in beta)):
+            t = reflection_of_root(rs, root)
+            for w in group:
+                y = t * w
+                assert y.vec == reflect(rs, t.root, w.vec) == reflect(rs, root, w.vec)
+                assert y is WeylElt(rs, y.vec) and t * w is y
+    assert len(_orbit_entries(rs)) == len(group)
+    assert _kept_products(rs) <= 2 * len(rs.pos_roots) * len(group)
+
+
+@pytest.mark.parametrize("label", ("A1", "G2", "B3", "D4", "F4"))
+def test_weyl_group_keeps_no_products(label):
+    rs = build_root_system(label)
+    group = weyl_group(rs)
+    # the enumeration reflects orbit vectors: no product, no reflection built
+    assert all(w._products is None for w in group)
+    assert len(rs._weyl_table) == len(group)
+
+
+def test_products_kept_by_suite_weyl_are_bounded():
+    rs = build_root_system("F4")
+    assert all(c.ok for c in suite_weyl(rs, "F4"))
+    group = weyl_group(rs)
+    assert len(_orbit_entries(rs)) == len(group) == 1152
+    assert 0 < _kept_products(rs) <= 2 * len(rs.pos_roots) * len(group)
+
+
+def test_weyl_elt_fields_are_read_only():
+    rs = build_root_system("B2")
+    w = from_word(rs, (1, 2))
+    t = simple_reflection(rs, 1)
+    # fill the slots that are filled on first use
+    t * w
+    canonical_word(w)
+    inversion_set(w)
+    for field in WeylElt.__slots__ + ("is_identity", "_word"):
+        for x in (w, t):
+            before = getattr(x, field)
+            with pytest.raises(AttributeError):
+                setattr(x, field, before)
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+            assert getattr(x, field) is before
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    # a different root for an element that has one changes nothing
+    assert WeylElt(rs, t.vec, tuple(-c for c in t.root)) is t and t.root == rs.simple(1)
 
 
 def test_reflection_table_is_owned_by_its_root_system():
