@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
     NotReduced,
     QBorelError,
 )
+from .record import Record, setters
 from .rootsys import (
     RootSystem,
     bilinear,
@@ -80,8 +80,9 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    __slots__ = _fields = ("rs", "label", "word_sel", "height", "fmt", "suite")
+
     rs: RootSystem
     label: str
     word_sel: str
@@ -89,12 +90,35 @@ class RunConfig:
     fmt: str
     suite: str
 
+    def __init__(self, rs, label, word_sel, height, fmt, suite):
+        _set_rs(self, rs)
+        _set_label(self, label)
+        _set_word_sel(self, word_sel)
+        _set_height(self, height)
+        _set_fmt(self, fmt)
+        _set_suite(self, suite)
 
-@dataclass
-class Check:
+
+_set_rs, _set_label, _set_word_sel, _set_height, _set_fmt, _set_suite = setters(RunConfig)
+
+
+class Check(Record):
+    """One verdict of a suite; unhashable."""
+
+    __slots__ = _fields = ("name", "ok", "detail")
+    __hash__ = None
+
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        _set_name(self, name)
+        _set_ok(self, ok)
+        _set_detail(self, detail)
+
+
+_set_name, _set_ok, _set_detail = setters(Check)
 
 
 # ---------------------------------------------------------------------------

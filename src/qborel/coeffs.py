@@ -70,7 +70,6 @@ in q (a property the tests pin down).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DivisionByZero
@@ -278,9 +277,12 @@ class QRat:
     fraction of two ints with cd > 0, and num, den are coprime primitive
     integer polynomials with positive leading coefficients.  The four
     fields are plain slots; ``c`` is a read-only view of the content as a
-    Fraction.  Instances are immutable and come from the trusted
-    constructor ``_qrat`` or from :meth:`make`; all arithmetic returns new
-    canonical instances, so ``==`` is structural.
+    Fraction.  Arithmetic and rendering use the ints alone: ``fractions``
+    is imported only by the calls that take or return a Fraction (``c``,
+    :meth:`monic_pair` and :func:`from_fraction`, which :func:`parse`
+    calls).  Instances are immutable and come from the trusted constructor
+    ``_qrat`` or from :meth:`make`; all arithmetic returns new canonical
+    instances, so ``==`` is structural.
     """
 
     __slots__ = ("cn", "cd", "num", "den")
@@ -296,18 +298,22 @@ class QRat:
     __delattr__ = __setattr__
 
     @property
-    def c(self) -> Fraction:
+    def c(self) -> "Fraction":
         """The content cn/cd as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(self.cn, self.cd)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def make(c: Fraction | int, num: tuple[int, ...], den: tuple[int, ...]) -> "QRat":
+    def make(c, num: tuple[int, ...], den: tuple[int, ...]) -> "QRat":
         """Build a canonical value c * num/den from an arbitrary presentation.
 
-        Trailing zero coefficients are stripped first, so a zero
-        denominator raises DivisionByZero however it is written.
+        c is an int or a Fraction; only its ``numerator`` and
+        ``denominator`` are read.  Trailing zero coefficients are stripped
+        first, so a zero denominator raises DivisionByZero however it is
+        written.
         """
         num, den = _pnorm(list(num)), _pnorm(list(den))
         if not den:
@@ -476,18 +482,20 @@ class QRat:
 
     # -- views -------------------------------------------------------------
 
-    def monic_pair(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    def monic_pair(self) -> tuple[tuple["Fraction", ...], tuple["Fraction", ...]]:
         """The reduced fraction with monic denominator over Q.
 
         Returns (numerator, denominator) as tuples of Fractions, lowest
         degree first.  This is the textbook canonical form; it determines
         and is determined by the internal representation.
         """
+        from fractions import Fraction
+
         if not self.num:
             return (), (Fraction(1),)
-        c = self.c
+        cn, cd = self.cn, self.cd
         lc = self.den[-1]
-        num = tuple(c * x / lc for x in self.num)
+        num = tuple(Fraction(cn * x, cd * lc) for x in self.num)
         den = tuple(Fraction(x, lc) for x in self.den)
         return num, den
 
@@ -500,21 +508,15 @@ class QRat:
         decreasing exponent order; a genuine denominator falls back to the
         form ``(num)/(den)``.  :func:`parse` accepts both shapes.
         """
-        if not self.num:
+        num, den, cn, cd = self.num, self.den, self.cn, self.cd
+        if not num:
             return "0"
-        if _is_monomial(self.den):
-            c = self.c
-            shift = len(self.den) - 1
-            terms = []
-            for e in range(len(self.num) - 1, -1, -1):
-                co = c * self.num[e]
-                if co:
-                    terms.append((e - shift, co))
-            return _render_laurent(terms)
-        num, den = self.monic_pair()
-        ns = _render_laurent([(e, c) for e in range(len(num) - 1, -1, -1) if (c := num[e])])
-        ds = _render_laurent([(e, c) for e in range(len(den) - 1, -1, -1) if (c := den[e])])
-        return f"({ns})/({ds})"
+        if _is_monomial(den):
+            # content times each numerator coefficient, over q^shift
+            return _render_laurent(num, cn, cd, len(den) - 1)
+        # the monic pair: numerator times c / lc(den), denominator over lc(den)
+        lc = den[-1]
+        return f"({_render_laurent(num, cn, cd * lc, 0)})/({_render_laurent(den, 1, lc, 0)})"
 
     def __repr__(self) -> str:
         return f"QRat({self.render()})"
@@ -537,16 +539,24 @@ def _qrat(cn: int, cd: int, num: tuple[int, ...], den: tuple[int, ...]) -> QRat:
     return x
 
 
-def _render_laurent(terms: list[tuple[int, Fraction]]) -> str:
+def _render_laurent(coeffs: tuple[int, ...], cn: int, cd: int, shift: int) -> str:
+    """The sum of (cn * coeffs[e] / cd) q^(e - shift), highest power first,
+    for cd > 0; each coefficient is reduced with one integer gcd."""
     parts: list[str] = []
-    for e, co in terms:
-        sign = "-" if co < 0 else "+"
-        mag = -co if co < 0 else co
-        if e == 0:
-            body = str(mag)
-        else:
+    for e in range(len(coeffs) - 1, -1, -1):
+        n = cn * coeffs[e]
+        if not n:
+            continue
+        mag, d = abs(n), cd
+        g = gcd(mag, d)
+        if g != 1:
+            mag, d = mag // g, d // g
+        sign = "-" if n < 0 else "+"
+        body = str(mag) if d == 1 else f"{mag}/{d}"
+        e -= shift
+        if e:
             qp = "q" if e == 1 else f"q^{e}"
-            body = qp if mag == 1 else f"{mag}*{qp}"
+            body = qp if body == "1" else f"{body}*{qp}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:
@@ -567,10 +577,13 @@ def from_int(n: int) -> QRat:
     return _qrat(n, 1, (1,), (1,))
 
 
-def from_fraction(x: Fraction) -> QRat:
-    if x == 0:
-        return ZERO
+def from_fraction(x) -> QRat:
+    """The constant x, for an int, a Fraction or anything Fraction takes."""
+    from fractions import Fraction
+
     x = Fraction(x)
+    if not x:
+        return ZERO
     return _qrat(x.numerator, x.denominator, (1,), (1,))
 
 
@@ -595,7 +608,7 @@ def q_integer(n: int, d: int = 1) -> QRat:
     num = [0] * (2 * d * (n - 1) + 1)
     for k in range(n):
         num[2 * d * k] = 1
-    return QRat.make(Fraction(1), tuple(num), (0,) * (d * (n - 1)) + (1,))
+    return QRat.make(1, tuple(num), (0,) * (d * (n - 1)) + (1,))
 
 
 def q_factorial(n: int, d: int = 1) -> QRat:
@@ -636,23 +649,24 @@ def _parse_laurent(text: str) -> QRat:
         m = _TERM.match(text, pos)
         if not m or m.end() == pos:
             raise ValueError(f"cannot parse coefficient near {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
         if m.group("coef") is not None:
-            coef = Fraction(m.group("coef"))
+            coef = from_fraction(m.group("coef"))
             if m.group("qc") is not None:
                 e = int(m.group("ec")) if m.group("ec") is not None else 1
             else:
                 e = 0
         else:
-            coef = Fraction(1)
+            coef = ONE
             e = int(m.group("e")) if m.group("e") is not None else 1
-        total = total + from_fraction(sign * coef) * qpow(e)
+        term = coef.shift(e)
+        total = total - term if m.group("sign") == "-" else total + term
         pos = m.end()
     return total
 
 
 def parse(text: str) -> QRat:
-    """Parse a coefficient rendered by :meth:`QRat.render`."""
+    """Parse a coefficient rendered by :meth:`QRat.render`; each rational
+    coefficient goes through :func:`from_fraction`."""
     text = text.strip()
     m = re.fullmatch(r"\((?P<num>.*)\)\s*/\s*\((?P<den>.*)\)", text, re.DOTALL)
     if m:

@@ -26,12 +26,11 @@ highest root is 3*alpha_1 + 2*alpha_2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import InvalidCartan, NotInPositiveCone
+from .record import Record, setters
 
 __all__ = [
     "RootSystem",
@@ -113,21 +112,28 @@ def _named_cartan(name: str) -> list[list[int]]:
 
 
 def _symmetrizers(a: list[list[int]]) -> tuple[int, ...]:
-    """Positive integer d with d_i a_ij = d_j a_ji, min 1 per component."""
+    """Positive integer d with d_i a_ij = d_j a_ji, min 1 per component.
+
+    Each d_i is found as a reduced pair (numerator, denominator > 0) by a
+    walk over the component from d = 1 at its first index; then every
+    numerator is put over the common denominator of the component and
+    divided by the smallest.
+    """
     n = len(a)
-    d: list[Fraction | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n
     comps: list[list[int]] = []
     for start in range(n):
         if d[start] is not None:
             continue
         comp = [start]
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         queue = [start]
         while queue:
             i = queue.pop()
+            p, q = d[i]
             for j in range(n):
                 if a[i][j] != 0 and i != j:
-                    want = d[i] * Fraction(a[i][j], a[j][i])
+                    want = _reduced(p * a[i][j], q * a[j][i])
                     if d[j] is None:
                         d[j] = want
                         comp.append(j)
@@ -135,79 +141,108 @@ def _symmetrizers(a: list[list[int]]) -> tuple[int, ...]:
                     elif d[j] != want:
                         raise InvalidCartan("matrix is not symmetrizable")
         comps.append(comp)
-    out = [Fraction(0)] * n
+    out = [0] * n
     for comp in comps:
-        scale = min(d[i] for i in comp)
+        den = lcm(*(d[i][1] for i in comp))
+        nums = {i: d[i][0] * (den // d[i][1]) for i in comp}
+        scale = min(nums.values())
         for i in comp:
-            out[i] = d[i] / scale
-    ints = []
-    for x in out:
-        if x.denominator != 1:
-            raise InvalidCartan("matrix is not symmetrizable over the integers")
-        ints.append(int(x))
-    return tuple(ints)
+            if nums[i] % scale:
+                raise InvalidCartan("matrix is not symmetrizable over the integers")
+            out[i] = nums[i] // scale
+    return tuple(out)
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    # p/q in lowest terms with a positive denominator, for q != 0
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
 
 
 def _leading_minors_positive(b: list[list[int]]) -> bool:
+    """Whether every leading principal minor of b is positive, which for
+    a symmetric b means positive definite (Sylvester's criterion).
+
+    Bareiss fraction-free elimination: after step k - 1 the k-th pivot is
+    the k-th leading minor, and every division by the previous pivot is
+    exact (Sylvester's identity), so the entries stay integers.
+    """
     n = len(b)
-    m = [[Fraction(x) for x in row] for row in b]
+    m = [list(row) for row in b]
+    prev = 1
     for k in range(n):
-        # symmetric elimination; all pivots positive iff positive definite
         piv = m[k][k]
         if piv <= 0:
             return False
         for i in range(k + 1, n):
-            f = m[i][k] / piv
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
+            row, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - f * m[k][j]) // prev
+        prev = piv
     return True
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Immutable container for Cartan data and the positive roots.
 
-    It also owns the data derived from them, so that data lives and dies
-    with the root system: the table of the coroot row of every root (which
-    ``reflect`` reads), built on first use; the element list that
-    ``weyl.weyl_group`` fills on its first call; ``_kostant``, the
-    partition counts that ``uqplus.free.kostant_dim`` keys by (root index,
-    remaining weight) and fills as it is asked; and ``_weyl_table``, which
-    ``weyl`` fills as elements are used: under an orbit vector w(2 rho),
-    the one ``WeylElt`` object of w, which carries its own data, and under
-    ("s", beta), the element that ``weyl.reflection_of_root`` returns for
-    the root beta.
+    Equality and hashing use the four fields ``cartan``, ``d``, ``gram``
+    and ``pos_roots``.  The data derived from them lives in slots of the
+    root system, so it lives and dies with it: ``two_rho`` and
+    ``pos_root_set``, filled at construction; ``_coroots``, the coroot row
+    of every root, which ``coroots`` (and so ``reflect``) builds on first
+    use; ``_weyl_group``, the element list that ``weyl.weyl_group`` fills
+    on its first call; ``_kostant``, the partition counts that
+    ``uqplus.free.kostant_dim`` keys by (root index, remaining weight) and
+    fills as it is asked; and ``_weyl_table``, which ``weyl`` fills as
+    elements are used: under an orbit vector w(2 rho), the one ``WeylElt``
+    object of w, which carries its own data, and under ("s", beta), the
+    element that ``weyl.reflection_of_root`` returns for the root beta.
     """
+
+    __slots__ = (
+        "cartan",
+        "d",
+        "gram",
+        "pos_roots",
+        "two_rho",
+        "pos_root_set",
+        "_coroots",
+        "_weyl_group",
+        "_kostant",
+        "_weyl_table",
+    )
+    _fields = __slots__[:4]
 
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     gram: tuple[tuple[int, ...], ...]
     pos_roots: tuple[Vec, ...]
-    _weyl_group: tuple | None = field(
-        default=None, init=False, compare=False, hash=False, repr=False
-    )
-    _kostant: dict[tuple[int, Vec], int] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
-    _weyl_table: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
+    two_rho: Vec  # the sum of the positive roots, in simple root coordinates
+    pos_root_set: frozenset[Vec]
+    _coroots: dict[Vec, Vec] | None
+    _weyl_group: tuple | None
+    _kostant: dict[tuple[int, Vec], int]
+    _weyl_table: dict
+
+    def __init__(self, cartan, d, gram, pos_roots):
+        _set_cartan(self, cartan)
+        _set_d(self, d)
+        _set_gram(self, gram)
+        _set_pos_roots(self, pos_roots)
+        _set_two_rho(self, tuple(map(sum, zip(*pos_roots))))
+        _set_pos_root_set(self, frozenset(pos_roots))
+        _set_coroots(self, None)
+        _set_weyl_group(self, None)
+        _set_kostant(self, {})
+        _set_weyl_table(self, {})
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
 
-    @cached_property
-    def pos_root_set(self) -> frozenset[Vec]:
-        return frozenset(self.pos_roots)
-
-    @cached_property
-    def two_rho(self) -> Vec:
-        """The sum of the positive roots, in simple root coordinates."""
-        return tuple(map(sum, zip(*self.pos_roots)))
-
-    @cached_property
+    @property
     def coroots(self) -> dict[Vec, Vec]:
         """The coroot row of every root +-beta, keyed by the root.
 
@@ -215,15 +250,18 @@ class RootSystem:
         row with x, and row_j = <alpha_j, beta^vee> is an integer; the row
         of -beta is minus the row of beta, and the row of alpha_i is row i
         of the Cartan matrix.  The reflection s_beta is
-        x -> x - <x, beta^vee> beta.
+        x -> x - <x, beta^vee> beta.  Built on first use.
         """
-        table = {}
-        for beta in self.pos_roots:
-            pair = [sum(map(mul, g, beta)) for g in self.gram]  # (alpha_j, beta)
-            bb = sum(map(mul, beta, pair))
-            row = tuple(2 * x // bb for x in pair)
-            table[beta] = row
-            table[vec_neg(beta)] = vec_neg(row)
+        table = self._coroots
+        if table is None:
+            table = {}
+            for beta in self.pos_roots:
+                pair = [sum(map(mul, g, beta)) for g in self.gram]  # (alpha_j, beta)
+                bb = sum(map(mul, beta, pair))
+                row = tuple(2 * x // bb for x in pair)
+                table[beta] = row
+                table[vec_neg(beta)] = vec_neg(row)
+            _set_coroots(self, table)
         return table
 
     @property
@@ -238,6 +276,20 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.pos_roots)})"
+
+
+(
+    _set_cartan,
+    _set_d,
+    _set_gram,
+    _set_pos_roots,
+    _set_two_rho,
+    _set_pos_root_set,
+    _set_coroots,
+    _set_weyl_group,
+    _set_kostant,
+    _set_weyl_table,
+) = setters(RootSystem)
 
 
 def _close_positive_roots(a: list[list[int]], n: int) -> tuple[Vec, ...]:
@@ -397,12 +449,17 @@ def _hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m[:r] if any(row))
 
 
-@dataclass(frozen=True)
-class LatticeSubgroup:
+class LatticeSubgroup(Record):
     """Subgroup of the root lattice, stored by its Hermite basis rows."""
+
+    __slots__ = _fields = ("n", "basis")
 
     n: int
     basis: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n, basis):
+        _set_n(self, n)
+        _set_basis(self, basis)
 
     @staticmethod
     def from_generators(n: int, gens) -> "LatticeSubgroup":
@@ -442,6 +499,9 @@ class LatticeSubgroup:
 
     def __repr__(self) -> str:
         return f"LatticeSubgroup(rank={self.rank}, basis={self.basis})"
+
+
+_set_n, _set_basis = setters(LatticeSubgroup)
 
 
 def integer_kernel(rows: list[list[int]], n: int) -> LatticeSubgroup:

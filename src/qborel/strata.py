@@ -14,17 +14,16 @@ together with the maximal admissible lattice of each stratum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .coeffs import QRat, ZERO
 from .errors import NotInWw, NotOrthogonal
+from .record import Record, setters
 from .rootsys import LatticeSubgroup, Vec, bilinear, orthogonal_complement_lattice
 from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of_root
 
 
-@dataclass(frozen=True)
-class ThetaSet:
+class ThetaSet(Record):
     """An admissible orthogonal subset of the inversion roots of a word.
 
     indices are 1-based positions into word.roots, strictly increasing.
@@ -32,28 +31,30 @@ class ThetaSet:
     w = word.element, the selected roots and its image y = w_Theta under
     kappa.  It is certified one index at a time by the admissibility step
     of ``extend``; construction folds that step over the indices, from the
-    empty set, whose w_Theta is w.
+    empty set, whose w_Theta is w.  Equality, hashing and ``repr`` use
+    ``word`` and ``indices``.
     """
+
+    __slots__ = ("word", "indices", "w", "roots", "y")
+    _fields = ("word", "indices")
 
     word: ReducedWord
     indices: tuple[int, ...]
-    w: WeylElt = field(init=False, compare=False, repr=False)
-    roots: tuple[Vec, ...] = field(init=False, compare=False, repr=False)
-    y: WeylElt = field(init=False, compare=False, repr=False)
+    w: WeylElt
+    roots: tuple[Vec, ...]
+    y: WeylElt
 
-    def __post_init__(self):
-        betas = self.word.roots
-        if self.indices != tuple(sorted(set(self.indices))):
+    def __init__(self, word: ReducedWord, indices: tuple[int, ...]):
+        betas = word.roots
+        if indices != tuple(sorted(set(indices))):
             raise ValueError("indices must be strictly increasing")
-        if any(not 1 <= i <= len(betas) for i in self.indices):
+        if any(not 1 <= i <= len(betas) for i in indices):
             raise ValueError("index out of range for the word")
-        w = self.word.element
-        th = _certified(self.word, (), w, (), w)
-        for k in self.indices:
+        w = word.element
+        th = _certified(word, (), w, (), w)
+        for k in indices:
             th = th.extend(k)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "roots", th.roots)
-        object.__setattr__(self, "y", th.y)
+        _fill(self, word, indices, w, th.roots, th.y)
 
     def extend(self, k: int) -> "ThetaSet":
         """Theta + {k}, for an index k above every index of Theta.
@@ -84,11 +85,22 @@ class ThetaSet:
         return len(self.indices)
 
 
+_set_word, _set_indices, _set_w, _set_roots, _set_y = setters(ThetaSet)
+_new = object.__new__
+
+
+def _fill(th: ThetaSet, word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> None:
+    _set_word(th, word)
+    _set_indices(th, indices)
+    _set_w(th, w)
+    _set_roots(th, roots)
+    _set_y(th, y)
+
+
 def _certified(word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> ThetaSet:
     """A ThetaSet whose certificate the caller has already checked."""
-    th = object.__new__(ThetaSet)
-    for name, value in zip(("word", "indices", "w", "roots", "y"), (word, indices, w, roots, y)):
-        object.__setattr__(th, name, value)
+    th = _new(ThetaSet)
+    _fill(th, word, indices, w, roots, y)
     return th
 
 
@@ -130,15 +142,19 @@ def kappa_inverse(word: ReducedWord, y: WeylElt) -> ThetaSet:
     raise NotInWw(f"element with word {canonical_word(y)} is not a w_Theta for this w")
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """One stratum of the character space: y = w_Theta and dim = |Theta|.
 
     No check is needed: T^w is closed under subsets, so each root of Theta
     lowers the length by one and w_Theta lies below w in Bruhat order.
     """
 
+    __slots__ = _fields = ("theta",)
+
     theta: ThetaSet
+
+    def __init__(self, theta: ThetaSet):
+        _set_theta(self, theta)
 
     @property
     def y(self) -> WeylElt:
@@ -149,31 +165,42 @@ class Stratum:
         return len(self.theta)
 
 
+(_set_theta,) = setters(Stratum)
+
+
 def enumerate_strata(word: ReducedWord) -> list[Stratum]:
     return [Stratum(th) for th in enumerate_Tw(word)]
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterData:
+class CharacterData(Record):
     """A character on a stratum.
 
     f maps every Theta root to a nonzero coefficient.  f = None keeps the
     values as free parameters; the concrete form is only needed by the
-    algebraic checks downstream.
+    algebraic checks downstream.  Compared and hashed by identity.
     """
 
-    stratum: Stratum
-    f: Optional[Mapping[Vec, QRat]] = None
+    __slots__ = _fields = ("stratum", "f")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.f is not None:
-            dom = set(self.f)
-            if dom != set(self.stratum.theta.roots):
+    stratum: Stratum
+    f: Optional[Mapping[Vec, QRat]]
+
+    def __init__(self, stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None):
+        if f is not None:
+            dom = set(f)
+            if dom != set(stratum.theta.roots):
                 raise ValueError("character domain must be exactly the Theta roots")
-            for beta, val in self.f.items():
+            for beta, val in f.items():
                 if not isinstance(val, QRat) or val == ZERO:
                     raise ValueError(f"character value at {beta} must be a nonzero QRat")
-            object.__setattr__(self, "f", dict(self.f))
+            f = dict(f)
+        _set_stratum(self, stratum)
+        _set_f(self, f)
+
+
+_set_stratum, _set_f = setters(CharacterData)
 
 
 def character(stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None) -> CharacterData:
@@ -185,16 +212,27 @@ def max_admissible_lattice(char: CharacterData) -> LatticeSubgroup:
     return orthogonal_complement_lattice(th.w.rs, th.roots)
 
 
-@dataclass(frozen=True, eq=False)
-class CoidealTriple:
-    """A triple (w, phi, L); w is the word of the stratum phi lives on."""
+class CoidealTriple(Record):
+    """A triple (w, phi, L); w is the word of the stratum phi lives on.
+    Compared and hashed by identity."""
+
+    __slots__ = _fields = ("char", "L")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     char: CharacterData
     L: LatticeSubgroup
 
+    def __init__(self, char: CharacterData, L: LatticeSubgroup):
+        _set_char(self, char)
+        _set_L(self, L)
+
     @property
     def word(self) -> ReducedWord:
         return self.char.stratum.theta.word
+
+
+_set_char, _set_L = setters(CoidealTriple)
 
 
 def validate_triple(t: CoidealTriple) -> bool:
@@ -212,28 +250,49 @@ def validate_triple(t: CoidealTriple) -> bool:
 # the classification report
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
+    __slots__ = _fields = ("y_word", "theta_roots", "dim", "Lmax_basis")
+
     y_word: tuple[int, ...]
     theta_roots: tuple[Vec, ...]
     dim: int
     Lmax_basis: tuple[Vec, ...]
 
+    def __init__(self, y_word, theta_roots, dim, Lmax_basis):
+        _set_y_word(self, y_word)
+        _set_theta_roots(self, theta_roots)
+        _set_dim(self, dim)
+        _set_Lmax_basis(self, Lmax_basis)
 
-@dataclass(frozen=True, eq=False)
-class ClassificationReport:
+
+_set_y_word, _set_theta_roots, _set_dim, _set_Lmax_basis = setters(ReportRow)
+
+
+class ClassificationReport(Record):
     """The classification table for one w.
 
     rows are ordered by (dim, theta_roots) so the table is identical for
     every reduced word of w.  bruhat lists index pairs [i, j] meaning
-    rows[i].y < rows[j].y strictly in Bruhat order.
+    rows[i].y < rows[j].y strictly in Bruhat order.  Compared and hashed
+    by identity.
     """
+
+    __slots__ = _fields = ("type_label", "word", "rows", "bruhat", "totals")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     type_label: str
     word: tuple[int, ...]
     rows: tuple[ReportRow, ...]
     bruhat: tuple[tuple[int, int], ...]
     totals: Mapping[str, int]
+
+    def __init__(self, type_label, word, rows, bruhat, totals):
+        _set_type_label(self, type_label)
+        _set_report_word(self, word)
+        _set_rows(self, rows)
+        _set_bruhat(self, bruhat)
+        _set_totals(self, totals)
 
     def to_json(self) -> str:
         doc = {
@@ -268,6 +327,11 @@ class ClassificationReport:
             "# totals: |T^w|={T_w} |W^w|={W_w}".format(**dict(self.totals))
         )
         return "\n".join(lines) + "\n"
+
+
+_set_type_label, _set_report_word, _set_rows, _set_bruhat, _set_totals = setters(
+    ClassificationReport
+)
 
 
 def classify(word: ReducedWord, label: str = "custom") -> ClassificationReport:

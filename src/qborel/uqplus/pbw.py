@@ -8,11 +8,11 @@ normal-form coordinates of the monomials, never a formula lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from ..coeffs import QRat, ZERO, ONE, qpow
 from ..errors import BadIndex, NotInSubalgebra
+from ..record import Record, setters
 from ..rootsys import Vec, bilinear
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
@@ -22,10 +22,20 @@ from .linalg import add_scaled, add_term, solve_in_span
 Expt = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PBWVec:
+class PBWVec(Record):
+    """PBW coordinates ``terms`` (exponent tuple -> coefficient) over the
+    monomials of ``word``; equal when the letters and the terms agree, and
+    unhashable."""
+
+    __slots__ = _fields = ("word", "terms")
+    __hash__ = None
+
     word: ReducedWord
     terms: dict
+
+    def __init__(self, word: ReducedWord, terms: dict):
+        _set_word(self, word)
+        _set_terms(self, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -59,6 +69,9 @@ class PBWVec:
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({self.terms[a].render()})*{mono}")
         return " + ".join(parts)
+
+
+_set_word, _set_terms = setters(PBWVec)
 
 
 class _PBWData:

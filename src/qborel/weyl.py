@@ -41,7 +41,6 @@ of a length-reducing chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -51,6 +50,7 @@ from .errors import (
     NoNonorthogonalPair,
     NotReduced,
 )
+from .record import Record, setters
 from .rootsys import RootSystem, Vec, bilinear, reflect, vec_neg
 
 __all__ = [
@@ -98,8 +98,10 @@ class WeylElt:
 
     There is one object per element and root system: ``WeylElt(rs, vec)``
     returns the element that ``rs._weyl_table`` holds under ``vec``, and
-    makes and stores it on first use.  Equality and hashing use ``vec``
-    alone, so elements of two equal root systems compare equal.
+    makes and stores it on first use; a vector that the table does not hold
+    and that is not in the W-orbit of 2 rho raises ValueError, and nothing
+    is stored.  Equality and hashing use ``vec`` alone, so elements of two
+    equal root systems compare equal.
 
     ``root`` is set to beta once the element has been asked for as the
     reflection s_beta; it takes no part in equality.  With it, a product
@@ -132,10 +134,11 @@ class WeylElt:
     _products: dict | None
 
     def __new__(cls, rs: RootSystem, vec: Vec, root: Vec | None = None) -> "WeylElt":
-        table = rs._weyl_table
-        w = table.get(vec)
+        w = rs._weyl_table.get(vec)
         if w is None:
-            w = table[vec] = _weyl_elt(rs, vec)
+            if not _in_orbit(rs, vec):
+                raise ValueError(f"{vec} is not in the W-orbit of 2 rho")
+            w = _interned(rs, vec)
         if root is not None and w.root is None:
             _set_root(w, root)
         return w
@@ -169,10 +172,10 @@ class WeylElt:
         if rs is not other.rs:
             if rs != other.rs:
                 raise ValueError("elements of different Weyl groups")
-            other = WeylElt(rs, other.vec)
+            other = _interned(rs, other.vec)
         root = self.root
         if root is None:
-            return WeylElt(rs, self.act(other.vec))
+            return _interned(rs, self.act(other.vec))
         products = other._products
         if products is None:
             products = {}
@@ -181,11 +184,11 @@ class WeylElt:
             w = products.get(root)
             if w is not None:
                 return w
-        w = products[root] = WeylElt(rs, reflect(rs, root, other.vec))
+        w = products[root] = _interned(rs, reflect(rs, root, other.vec))
         return w
 
     def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, self.act_inv(self.rs.two_rho))
+        return _interned(self.rs, self.act_inv(self.rs.two_rho))
 
     @property
     def _word(self) -> tuple[int, ...]:
@@ -233,15 +236,46 @@ _new = object.__new__
     _set_canonical,
     _set_inversions,
     _set_products,
-) = (vars(WeylElt)[f].__set__ for f in WeylElt.__slots__)
+) = setters(WeylElt)
+
+
+def _interned(rs: RootSystem, vec: Vec) -> WeylElt:
+    """The element of an orbit vector of 2 rho, made and kept in the table
+    on first use.  The caller vouches for the vector: products and words
+    come here directly, and only the public constructor checks the orbit."""
+    table = rs._weyl_table
+    w = table.get(vec)
+    if w is None:
+        w = table[vec] = _weyl_elt(rs, vec)
+    return w
+
+
+def _in_orbit(rs: RootSystem, vec: Vec) -> bool:
+    """Whether vec lies in the W-orbit of 2 rho.
+
+    Each step applies a simple reflection s_i with <v, alpha_i^vee> < 0,
+    which raises (v, 2 rho); the orbit is finite, so the walk ends in the
+    dominant chamber, whose one orbit vector is 2 rho itself.
+    """
+    if len(vec) != rs.rank:
+        return False
+    v = list(vec)
+    while True:
+        for i, row in enumerate(rs.cartan):
+            k = sum(map(mul, row, v))
+            if k < 0:
+                v[i] -= k
+                break
+        else:
+            return tuple(v) == rs.two_rho
 
 
 def _weyl_elt(rs: RootSystem, vec: Vec) -> WeylElt:
-    # the one constructor, called by WeylElt.__new__ for a vector the table
-    # does not hold yet; the slots' own setters bypass the raising
-    # __setattr__.  (beta, vec) is sum_j beta_j (alpha_j, vec), and
-    # (beta, w(2 rho)) = (w^{-1}(beta), 2 rho) is negative exactly when
-    # w^{-1} sends beta to a negative root.
+    # the one constructor, called by _interned for a vector the table does
+    # not hold yet; the slots' own setters bypass the raising __setattr__.
+    # (beta, vec) is sum_j beta_j (alpha_j, vec), and (beta, w(2 rho))
+    # = (w^{-1}(beta), 2 rho) is negative exactly when w^{-1} sends beta to
+    # a negative root.
     p = tuple([sum(map(mul, row, vec)) for row in rs.gram])
     w = _new(WeylElt)
     _set_rs(w, rs)
@@ -256,7 +290,7 @@ def _weyl_elt(rs: RootSystem, vec: Vec) -> WeylElt:
 
 
 def identity(rs: RootSystem) -> WeylElt:
-    return WeylElt(rs, rs.two_rho)
+    return _interned(rs, rs.two_rho)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
@@ -279,7 +313,9 @@ def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
     key = ("s", beta)
     t = rs._weyl_table.get(key)
     if t is None:
-        t = rs._weyl_table[key] = WeylElt(rs, reflect(rs, beta, rs.two_rho), beta)
+        t = rs._weyl_table[key] = _interned(rs, reflect(rs, beta, rs.two_rho))
+        if t.root is None:
+            _set_root(t, beta)
     return t
 
 
@@ -287,8 +323,7 @@ def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
 # reduced words
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A reduced word, validated at construction.
 
     ``roots`` are the beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), each
@@ -296,17 +331,19 @@ class ReducedWord:
     s_{i_1} ... s_{i_t}, read off the roots: the prefix s_{i_1} ...
     s_{i_{k-1}} sends 2 rho - s_{i_k}(2 rho) = 2 alpha_{i_k} to 2 beta_k, so
     the telescoping sum gives w(2 rho) = 2 rho - 2 (beta_1 + ... + beta_t).
-    A word that is not reduced raises NotReduced.
+    A word that is not reduced raises NotReduced.  Equality, hashing and
+    ``repr`` use ``rs`` and ``letters``.
     """
+
+    __slots__ = ("rs", "letters", "element", "roots")
+    _fields = ("rs", "letters")
 
     rs: RootSystem
     letters: tuple[int, ...]
-    element: WeylElt = field(init=False, compare=False, repr=False)
-    roots: tuple[Vec, ...] = field(init=False, compare=False, repr=False)
+    element: WeylElt
+    roots: tuple[Vec, ...]
 
-    def __post_init__(self):
-        rs = self.rs
-        letters = self.letters
+    def __init__(self, rs: RootSystem, letters: tuple[int, ...]):
         for i in letters:
             if not 1 <= i <= rs.rank:
                 raise NotReduced(f"letter {i} out of range")
@@ -316,14 +353,19 @@ class ReducedWord:
             beta = _walk(rs, reversed(letters[:k]), rs.simple(i))
             roots.append(beta)
             vec = tuple(x - 2 * b for x, b in zip(vec, beta))
-        element = WeylElt(rs, vec)
+        element = _interned(rs, vec)
         if element.length != len(letters):
             raise NotReduced(f"word {letters} is not reduced")
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "roots", tuple(roots))
+        _set_word_rs(self, rs)
+        _set_letters(self, letters)
+        _set_element(self, element)
+        _set_roots(self, tuple(roots))
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+_set_word_rs, _set_letters, _set_element, _set_roots = setters(ReducedWord)
 
 
 def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
@@ -384,10 +426,13 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    elements = (WeylElt(rs, v) for v in seen)
+    elements = (_interned(rs, v) for v in seen)
     group = tuple(sorted(elements, key=lambda w: (w.length, canonical_word(w))))
-    object.__setattr__(rs, "_weyl_group", group)
+    _set_weyl_group(rs, group)
     return group
+
+
+_set_weyl_group = setters(RootSystem, "_weyl_group")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -573,3 +573,61 @@ def test_make_strips_trailing_zeros_first():
     assert _layout(QRat.make(1, (1, 0), (1,))) == _layout(ONE)
     assert QRat.make(1, (1, 0), (1,)) == ONE
     assert _layout(QRat.make(3, (2, 4, 0), (0, 6, 0, 0))) == _layout(QRat.make(1, (1, 2), (0, 1)))
+
+
+def _render_reference(x):
+    """The Fraction rendering that ``QRat.render`` replaced."""
+
+    def laurent(terms):
+        parts = []
+        for e, co in terms:
+            sign = "-" if co < 0 else "+"
+            mag = -co if co < 0 else co
+            if e == 0:
+                body = str(mag)
+            else:
+                qp = "q" if e == 1 else f"q^{e}"
+                body = qp if mag == 1 else f"{mag}*{qp}"
+            if not parts:
+                parts.append(body if sign == "+" else f"-{body}")
+            else:
+                parts.append(f" {sign} {body}")
+        return "".join(parts)
+
+    if not x.num:
+        return "0"
+    c = Fraction(x.cn, x.cd)
+    if not any(x.den[:-1]):
+        shift = len(x.den) - 1
+        return laurent([(e - shift, c * x.num[e]) for e in range(len(x.num) - 1, -1, -1) if x.num[e]])
+    lc = x.den[-1]
+    num = [c * v / lc for v in x.num]
+    den = [Fraction(v, lc) for v in x.den]
+    ns = laurent([(e, num[e]) for e in range(len(num) - 1, -1, -1) if num[e]])
+    ds = laurent([(e, den[e]) for e in range(len(den) - 1, -1, -1) if den[e]])
+    return f"({ns})/({ds})"
+
+
+def test_render_matches_the_fraction_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.one_of(_qrats(st), _laurent_qrats(st)), _qrats(st))
+    def check(x, y):
+        for v in (x, y, x * y, x + y, -x):
+            assert v.render() == _render_reference(v)
+
+    check()
+    # contents that reduce against a coefficient, and a genuine denominator
+    # whose leading coefficient divides some numerator coefficients
+    for v in (
+        QRat.make(Fraction(3, 4), (2, 0, 4), (1,)),
+        QRat.make(Fraction(-1, 6), (3, 2), (0, 0, 1)),
+        QRat.make(Fraction(5, 2), (4, 6, 1), (1, 1, 6)),
+        QRat.make(Fraction(-4, 3), (9,), (3, 0, 6)),
+        from_fraction(Fraction(-1, 2)),
+        ONE,
+        -ONE,
+    ):
+        assert v.render() == _render_reference(v)

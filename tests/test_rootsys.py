@@ -7,9 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from qborel import rootsys
 from qborel.errors import InvalidCartan, NotInPositiveCone
 from qborel.rootsys import (
     LatticeSubgroup,
+    _leading_minors_positive,
+    _named_cartan,
+    _symmetrizers,
     bilinear,
     build_root_system,
     height,
@@ -177,6 +181,134 @@ def test_invalid_cartan():
 def test_non_integer_cartan_entries(spec):
     with pytest.raises(InvalidCartan):
         build_root_system(spec)
+
+
+def _symmetrizers_oracle(a):
+    """The Fraction code that ``_symmetrizers`` replaced."""
+    n = len(a)
+    d = [None] * n
+    comps = []
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        comp = [start]
+        d[start] = Fraction(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if a[i][j] != 0 and i != j:
+                    want = d[i] * Fraction(a[i][j], a[j][i])
+                    if d[j] is None:
+                        d[j] = want
+                        comp.append(j)
+                        queue.append(j)
+                    elif d[j] != want:
+                        raise InvalidCartan("matrix is not symmetrizable")
+        comps.append(comp)
+    out = [Fraction(0)] * n
+    for comp in comps:
+        scale = min(d[i] for i in comp)
+        for i in comp:
+            out[i] = d[i] / scale
+    ints = []
+    for x in out:
+        if x.denominator != 1:
+            raise InvalidCartan("matrix is not symmetrizable over the integers")
+        ints.append(int(x))
+    return tuple(ints)
+
+
+def _leading_minors_oracle(b):
+    """The Fraction elimination that ``_leading_minors_positive`` replaced."""
+    n = len(b)
+    m = [[Fraction(x) for x in row] for row in b]
+    for k in range(n):
+        piv = m[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            if f:
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the InvalidCartan it raises."""
+    try:
+        return f(*args)
+    except InvalidCartan as exc:
+        return ("InvalidCartan", str(exc))
+
+
+def _random_cartan(rng, n):
+    # 2 on the diagonal, a symmetric zero pattern, entries -1..-4 off it
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                a[i][j], a[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
+    return a
+
+
+NAMED = ("A1", "A4", "B2", "B5", "C2", "C4", "D4", "D6", "E6", "E7", "E8", "F4", "G2")
+
+
+def test_integer_set_up_matches_the_fraction_oracle():
+    for label in NAMED:
+        a = _named_cartan(label)
+        d = _symmetrizers(a)
+        assert d == _symmetrizers_oracle(a) == build_root_system(label).d
+        gram = [[d[i] * x for x in row] for i, row in enumerate(a)]
+        assert _leading_minors_positive(gram) is _leading_minors_oracle(gram) is True
+    # symmetrizable with integer ratios, not symmetrizable, and ratios that
+    # leave a fraction after the scaling to min d = 1
+    for a, message in (
+        ([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], None),
+        ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "matrix is not symmetrizable"),
+        ([[2, -3], [-2, 2]], "matrix is not symmetrizable over the integers"),
+    ):
+        got = _outcome(_symmetrizers, a)
+        assert got == _outcome(_symmetrizers_oracle, a)
+        assert (got[1] if message else None) == message
+    rng = random.Random(25)
+    kinds = {"ok": 0, "not symmetrizable": 0, "over the integers": 0}
+    for _ in range(600):
+        a = _random_cartan(rng, rng.randint(1, 5))
+        got = _outcome(_symmetrizers, a)
+        assert got == _outcome(_symmetrizers_oracle, a), a
+        if isinstance(got[0], int):
+            kinds["ok"] += 1
+            gram = [[got[i] * x for x in row] for i, row in enumerate(a)]
+            assert _leading_minors_positive(gram) is _leading_minors_oracle(gram), a
+        else:
+            kinds["over the integers" if "integers" in got[1] else "not symmetrizable"] += 1
+    assert all(kinds.values()), kinds
+    # symmetric matrices with either sign on the diagonal, definite or not
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            b[i][i] = rng.randint(-1, 8)
+            for j in range(i + 1, n):
+                b[i][j] = b[j][i] = rng.randint(-4, 4)
+        assert _leading_minors_positive(b) is _leading_minors_oracle(b), b
+
+
+def test_build_messages_match_the_fraction_set_up(monkeypatch):
+    # the whole validation with the integer set-up and with the Fraction
+    # code swapped back in: the same root system or the same message
+    rng = random.Random(26)
+    matrices = [_random_cartan(rng, rng.randint(1, 4)) for _ in range(300)]
+    matrices += [[[2, 1], [1, 2]], [[2, 0], [-1, 2]], [[2, -2], [-2, 2]], [[1]]]
+    got = [_outcome(build_root_system, a) for a in matrices]
+    monkeypatch.setattr(rootsys, "_symmetrizers", _symmetrizers_oracle)
+    monkeypatch.setattr(rootsys, "_leading_minors_positive", _leading_minors_oracle)
+    want = [_outcome(build_root_system, a) for a in matrices]
+    assert got == want
+    assert sum(isinstance(x, tuple) for x in got) > 10 < sum(not isinstance(x, tuple) for x in got)
 
 
 def test_load_cartan_file(tmp_path):

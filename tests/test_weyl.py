@@ -184,9 +184,9 @@ def test_bruhat_equiv_rejects_nonroots():
         weyl_bruhat_equiv(identity(A2), (2, 2))
 
 
-def _random_chain(rs, rng, group, m):
+def _random_chain(rs, rng, group, m, tries=200):
     candidates = [g for g in group if g.length >= m]
-    while True:
+    for _ in range(tries):
         w = rng.choice(candidates)
         seq = []
         x = w
@@ -203,6 +203,7 @@ def _random_chain(rs, rng, group, m):
             x = reflection_of_root(rs, b) * x
         if len(seq) == m:
             return w, seq
+    pytest.fail(f"no length-reducing chain of {m} reflections in {tries} tries")
 
 
 def test_validate_chain():
@@ -221,7 +222,11 @@ def test_lemma12_step_postconditions():
     rng = random.Random(7)
     group = weyl_group(A3)
     found = 0
-    while found < 10:
+    # 56 draws give the 10 inputs; the cap turns a wrong product into a
+    # failure instead of a search without end
+    for _ in range(2000):
+        if found == 10:
+            break
         w, seq = _random_chain(A3, rng, group, 3)
         gamma, beta, alpha = seq[0], seq[1], seq[2]
         if bilinear(A3, beta, gamma) != 0:
@@ -243,6 +248,7 @@ def test_lemma12_step_postconditions():
         )
         assert lhs == rhs
         found += 1
+    assert found == 10, f"only {found} of 10 valid inputs in 2000 draws"
 
 
 @pytest.mark.parametrize("rs", [A3, B3], ids=["A3", "B3"])
@@ -250,7 +256,9 @@ def test_normalize_reflection_sequence(rs):
     rng = random.Random(11)
     group = weyl_group(rs)
     done = 0
-    while done < 25:
+    for _ in range(2000):
+        if done == 25:
+            break
         m = rng.randint(2, 4)
         w, seq = _random_chain(rs, rng, group, m)
         if all(
@@ -270,6 +278,7 @@ def test_normalize_reflection_sequence(rs):
             p_out = reflection_of_root(rs, b) * p_out
         assert p_in == p_out
         done += 1
+    assert done == 25, f"only {done} of 25 valid inputs in 2000 draws"
 
 
 def test_normalize_needs_a_nonorthogonal_pair():
@@ -465,6 +474,36 @@ def test_products_kept_by_suite_weyl_are_bounded():
     assert 0 < _kept_products(rs) <= 2 * len(rs.pos_roots) * len(group)
 
 
+def test_constructor_refuses_vectors_outside_the_orbit():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError, match="not in the W-orbit"):
+        WeylElt(rs, (1, 0))
+    assert rs._weyl_table == {}
+    # every vector of a box: accepted exactly when it is an orbit vector,
+    # and nothing is stored for a refused one
+    for label in ("A2", "B2", "G2", "A3", "C3"):
+        rs = build_root_system(label)
+        orbit = {w.vec: w for w in weyl_group(rs)}
+        size = len(rs._weyl_table)
+        rng = random.Random(label)
+        vecs = list(orbit) + [tuple(rng.randint(-12, 12) for _ in range(rs.rank)) for _ in range(300)]
+        for v in vecs:
+            if v in orbit:
+                assert WeylElt(rs, v) is orbit[v]
+            else:
+                with pytest.raises(ValueError):
+                    WeylElt(rs, v)
+        assert len(rs._weyl_table) == size
+    # a fresh table: the walk to the dominant chamber, not a lookup, decides
+    rs = build_root_system("B3")
+    w0 = WeylElt(rs, tuple(-x for x in rs.two_rho))
+    assert w0.length == len(rs.pos_roots)
+    for v in ((1, 0, 0), rs.two_rho[:2], rs.two_rho + (0,), tuple(2 * x for x in rs.two_rho)):
+        with pytest.raises(ValueError):
+            WeylElt(rs, v)
+    assert set(rs._weyl_table) == {w0.vec}
+
+
 def test_weyl_elt_fields_are_read_only():
     rs = build_root_system("B2")
     w = from_word(rs, (1, 2))
@@ -490,7 +529,7 @@ def test_weyl_elt_fields_are_read_only():
 def test_reflection_table_is_owned_by_its_root_system():
     rs = build_root_system("B3")
     # the coroot table is built on first use, not by build_root_system
-    assert "coroots" not in vars(rs)
+    assert rs._coroots is None
     table = rs.coroots
     assert rs.coroots is table
     assert len(table) == 2 * len(rs.pos_roots)
