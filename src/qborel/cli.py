@@ -297,6 +297,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_ls(cfg: RunConfig, i: int, j: int) -> int:
+    if cfg.word_sel == "all":
+        raise UsageError('ls takes one word: give --word as comma-separated letters or "w0"')
     word = _selected_words(cfg)[0]
     alg = UAlgebra(cfg.rs, cfg.height)
     v = ls_relation(alg, word, i, j)

@@ -19,7 +19,9 @@ bijection, so structural equality is unaffected by the internal layout.
 
 A product cross-cancels the two contents with two integer gcds (none
 when both cd are 1); a sum brings them to lcm(cd_a, cd_b) = l and reduces
-the content of its numerator over l once.
+the content of its numerator over l once.  A constant operand (num = den
+= (1,), an element of Q) changes the content alone: the product keeps the
+other operand's num and den as they are, and x * 1 returns x itself.
 
 Each canonical form divides once.  A product or a sum of two Laurent
 polynomials (both denominators q-powers, as for most operands the Serre
@@ -281,7 +283,7 @@ class QRat:
     is imported only by the calls that take or return a Fraction (``c``,
     :meth:`monic_pair` and :func:`from_fraction`, which :func:`parse`
     calls).  Instances are immutable and come from the trusted constructor
-    ``_qrat`` or from :meth:`make`; all arithmetic returns new canonical
+    ``_qrat`` or from :meth:`make`; all arithmetic returns canonical
     instances, so ``==`` is structural.
     """
 
@@ -413,6 +415,11 @@ class QRat:
             cn = (acn // g) * (bcn // h)
             cd = (acd // h) * (bcd // g)
         ad, bd = self.den, other.den
+        # a constant operand changes the content alone; x * 1 is x
+        if bn == (1,) and bd == (1,):
+            return self if cn == acn and cd == acd else _qrat(cn, cd, an, ad)
+        if an == (1,) and ad == (1,):
+            return other if cn == bcn and cd == bcd else _qrat(cn, cd, bn, bd)
         ka, kb = len(ad) - 1, len(bd) - 1
         if ad.count(0) == ka and bd.count(0) == kb:
             # Laurent product: num_a num_b is primitive (Gauss's lemma), and

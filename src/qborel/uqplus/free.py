@@ -187,7 +187,7 @@ class NFContext:
     def check_height(self, mu: Vec) -> None:
         if sum(mu) > self.height_bound:
             raise HeightOverflow(
-                f"weight {mu} exceeds the height bound {self.height_bound}"
+                f"weight {mu} needs height {sum(mu)}, above the bound {self.height_bound}"
             )
 
     def component(self, mu: Vec) -> _WeightComponent:

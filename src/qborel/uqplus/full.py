@@ -14,15 +14,16 @@ equal term maps.
 The Lusztig symmetries T_a and T_a^-1 act term by term, and each term's
 image is built from the image of the term one factor shorter.  When the
 argument lies in U^+ and its image is known to stay in U^+, only the
-F-free terms of each E-word's image are built and kept; every other
-argument takes the full product in the whole algebra.
+F-free terms of each E-word's image are built and kept, a letter a of
+the word by the K-terms of E_e F_a alone; every other argument takes the
+full product in the whole algebra.
 """
 
 from __future__ import annotations
 
 from ..coeffs import QRat, ONE, qpow, q_factorial
 from ..errors import BadIndex, NotReduced
-from ..rootsys import RootSystem, Vec, bilinear, reflect, vec_add, vec_neg
+from ..rootsys import RootSystem, Vec, bilinear, reflect, vec_add, vec_neg, vec_sub
 from ..weyl import ReducedWord
 from .free import FreeElt, NFContext, Word, word_weight
 from .linalg import TermMap, add_scaled, add_term
@@ -271,17 +272,46 @@ def _t_plus_image(alg: UAlgebra, a: int, e: Word, inverse: bool) -> UElt:
 
     They are the F-free terms of (those of the word one letter shorter)
     times the image of the last letter; lusztig_T says why that is exact.
+    For a last letter i != a that image lies in U^+, so the product of
+    two F-free factors is taken as it stands; for i = a it is
+    _f_free_times_t_ea, which builds no F-term.
     """
     cached = alg._t_plus_images.get((a, inverse, e))
     if cached is not None:
         return cached
     if not e:
         return alg.one()
-    last = _t_generator(alg, a, "E", e[-1], inverse)
-    img = last if len(e) == 1 else _t_plus_image(alg, a, e[:-1], inverse) * last
-    img = UElt(alg, {key: c for key, c in img.terms.items() if not key[0]})
+    if len(e) == 1:
+        # T_a^{+-1}(E_a) is a multiple of F_a K_mu, with no F-free term
+        img = alg.zero() if e[0] == a else _t_generator(alg, a, "E", e[0], inverse)
+    elif e[-1] == a:
+        img = _f_free_times_t_ea(alg, _t_plus_image(alg, a, e[:-1], inverse), a, inverse)
+    else:
+        img = _t_plus_image(alg, a, e[:-1], inverse) * _t_generator(alg, a, "E", e[-1], inverse)
     alg._t_plus_images[(a, inverse, e)] = img
     return img
+
+
+def _f_free_times_t_ea(alg: UAlgebra, y: UElt, a: int, inverse: bool) -> UElt:
+    """The F-free terms of y * T_a(E_a) (or T_a^-1(E_a)), for F-free y.
+
+    That image is one term g F_a K_mu: -F_a K_a, or -K_a^-1 F_a =
+    -q^(alpha_a, alpha_a) F_a K_a^-1.  For a term K_k E_e of y, the
+    F-free terms of E_e F_a are the K_(+-alpha_a) E_e1 of the cached
+    _e_times_f, with wt e1 = wt e - alpha_a, and K_mu moves left past
+    E_e1 as q^-(mu, wt e1).  So each term of y costs one shift, and no
+    F-term of E_e F_a is multiplied out.
+    """
+    rs = alg.rs
+    ((_, mu, _), g), = _t_generator(alg, a, "E", a, inverse).terms.items()
+    out: dict[Key, QRat] = {}
+    for (_, k, e), c in y.terms.items():
+        cs = (c * g).shift(-bilinear(rs, mu, vec_sub(alg._wt(e), rs.simple(a))))
+        kmu = vec_add(k, mu)
+        for (f1, k1, e1), c1 in alg._e_times_f(e, a).items():
+            if not f1:
+                add_term(out, ((), vec_add(kmu, k1), e1), c1 * cs)
+    return UElt(alg, out)
 
 
 def _image_stays_in_plus(alg: UAlgebra, a: int, x: UElt, inverse: bool) -> bool:
@@ -316,6 +346,12 @@ def lusztig_T(alg: UAlgebra, a: int, x: UElt, inverse: bool = False) -> UElt:
       lies in U^+ exactly when the K_a^-1 part is zero, and T_a^-1(x)
       exactly when the K_a part is zero (Lusztig, Introduction to Quantum
       Groups, 38.1).
+
+    The same table gives the letter a of an E-word: T_a^{+-1}(E_a) is a
+    multiple of F_a K_(+-alpha_a), so the F-free terms of (prefix image)
+    times it come from the K-terms of each prefix term times F_a, moved past
+    K_(+-alpha_a) by one shift (_f_free_times_t_ea), and no F-term is
+    built.
     """
     alg._check_index(a)
     out: dict[Key, QRat] = {}

@@ -98,6 +98,13 @@ def test_ls_bad_indices(capsys):
     assert err
 
 
+def test_ls_refuses_every_word(capsys):
+    # "all" would run the identity's empty word, where no pair i < j exists
+    code, out, err = run(capsys, "ls", "--type", "B2", "--word", "all", "1", "2")
+    assert (code, out) == (2, "")
+    assert err == 'error: ls takes one word: give --word as comma-separated letters or "w0"\n'
+
+
 def test_ls_json(capsys):
     code, out, _ = run(capsys, "ls", "--type", "A2", "1", "3",
                        "--format", "json")
@@ -225,19 +232,19 @@ def test_height_overflow_names_the_default_bound(capsys):
     assert out == ""
     # the default is twice the highest root height of B2, 2 * 3
     assert err == (
-        "error: weight (2, 1) exceeds the height bound 2; omit --height to use the default 6\n"
+        "error: weight (2, 1) needs height 3, above the bound 2; omit --height to use the default 6\n"
     )
 
 
 def test_height_overflow_without_height_names_no_default(capsys, monkeypatch):
     # "omit --height" is advice only for a run that gave --height
     def overflow(rs, label, alg):
-        raise HeightOverflow("weight (3,) exceeds the height bound 2")
+        raise HeightOverflow("weight (3,) needs height 3, above the bound 2")
 
     monkeypatch.setitem(cli.SUITES, "hopf", overflow)
     code, out, err = run(capsys, "verify", "--type", "A1", "--suite", "hopf")
     assert (code, out) == (2, "")
-    assert err == "error: weight (3,) exceeds the height bound 2\n"
+    assert err == "error: weight (3,) needs height 3, above the bound 2\n"
 
 
 def test_verify_all_on_a1_stays_inside_the_default_height(capsys):

@@ -535,6 +535,23 @@ def test_laurent_paths_match_make_on_the_unreduced_forms():
     assert values[6] + values[7] == ZERO and values[10] - values[10] == ZERO
 
 
+@pytest.mark.parametrize("strategy", [_qrats, _laurent_qrats])
+def test_constant_operands_match_make_on_the_unreduced_forms(strategy):
+    hyp = pytest.importorskip("hypothesis")
+    constants = [ONE, -ONE, from_int(3), from_fraction(Fraction(-2, 5)), from_fraction(Fraction(1, 6))]
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(strategy(hyp.strategies))
+    def check(x):
+        for c in constants:
+            assert _layout(x * c) == _layout(_make_product(x, c)), c
+            assert _layout(c * x) == _layout(_make_product(c, x)), c
+        assert x * ONE is x
+        assert x * ZERO == ZERO and ZERO * x == ZERO
+
+    check()
+
+
 def test_qrat_is_an_immutable_value_type():
     x = QRat.make(Fraction(3, 4), (1, 0, 2), (0, 1))
     for field in ("cn", "cd", "num", "den", "c"):

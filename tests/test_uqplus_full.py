@@ -1,6 +1,8 @@
 """The full kernel: E, F, K normal form and the braid symmetries."""
 
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -286,18 +288,55 @@ def test_t_images_are_kept_per_algebra():
 
 def test_root_vectors_reuse_term_prefixes(monkeypatch):
     # each T-image of a term is its prefix's image times one generator
-    # image, so the 36 T calls of a B3 word share their products
-    calls = []
-    mul = UElt.__mul__
+    # image, so the 36 T calls of a B3 word share their products; a last
+    # letter a takes the F-free step in place of a product by T_a(E_a)
+    calls = {"product": 0, "step": 0}
+    mul, step = UElt.__mul__, full._f_free_times_t_ea
 
     def counting_mul(self, other):
-        calls.append(1)
+        calls["product"] += 1
         return mul(self, other)
 
+    def counting_step(alg, y, a, inverse):
+        calls["step"] += 1
+        return step(alg, y, a, inverse)
+
     monkeypatch.setattr(UElt, "__mul__", counting_mul)
+    monkeypatch.setattr(full, "_f_free_times_t_ea", counting_step)
     rs = build_root_system("B3")
     root_vectors(UAlgebra(rs), ReducedWord(rs, (1, 2, 1, 3, 2, 1, 3, 2, 3)))
-    assert len(calls) == 152
+    assert calls == {"product": 114, "step": 38}
+
+
+def _complement_words(alg, h):
+    """Every complement word of height 1 to h."""
+    mus = (mu for mu in product(range(h + 1), repeat=alg.rs.rank) if 0 < sum(mu) <= h)
+    return [e for mu in mus for e in alg.nf.complement_basis(mu)]
+
+
+# G2 stops at height 4: the images of its height-5 words reach weights of
+# height 20, whose Serre echelon alone takes over a minute
+@pytest.mark.parametrize("label, h", [("A2", 5), ("B2", 5), ("G2", 4), ("A3", 5), ("B3", 5)])
+def test_f_free_step_matches_the_filtered_product(label, h):
+    t0 = time.perf_counter()
+    rs = build_root_system(label)
+    alg = UAlgebra(rs, 20)
+    checked = 0
+    for e in _complement_words(alg, h):
+        for a in range(1, rs.rank + 1):
+            for inverse in (False, True):
+                gen = full._t_generator(alg, a, "E", a, inverse)
+                y = full._t_plus_image(alg, a, e, inverse)
+                # the kept images have K = 0 throughout, so K_alpha_a y
+                # covers the K exponent of the step
+                for x in (y, alg.K(rs.simple(a)) * y):
+                    got = full._f_free_times_t_ea(alg, x, a, inverse)
+                    want = [(key, c) for key, c in (x * gen).terms.items() if not key[0]]
+                    assert list(got.terms.items()) == want, (e, a, inverse, repr(x))
+                    checked += bool(want)
+    assert checked
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"{elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
