@@ -24,7 +24,7 @@ from .errors import (
     NotReduced,
     QBorelError,
 )
-from .record import Record, setters
+from .record import Record
 from .rootsys import (
     RootSystem,
     bilinear,
@@ -91,15 +91,7 @@ class RunConfig(Record):
     suite: str
 
     def __init__(self, rs, label, word_sel, height, fmt, suite):
-        _set_rs(self, rs)
-        _set_label(self, label)
-        _set_word_sel(self, word_sel)
-        _set_height(self, height)
-        _set_fmt(self, fmt)
-        _set_suite(self, suite)
-
-
-_set_rs, _set_label, _set_word_sel, _set_height, _set_fmt, _set_suite = setters(RunConfig)
+        self._fill(rs, label, word_sel, height, fmt, suite)
 
 
 class Check(Record):
@@ -113,12 +105,7 @@ class Check(Record):
     detail: str
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        _set_name(self, name)
-        _set_ok(self, ok)
-        _set_detail(self, detail)
-
-
-_set_name, _set_ok, _set_detail = setters(Check)
+        self._fill(name, ok, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -336,9 +336,6 @@ class QRat:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,) and self.cn == 1 and self.cd == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QRat") -> "QRat":

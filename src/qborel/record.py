@@ -1,17 +1,16 @@
 """The immutable record base of the package's value classes.
 
 A record keeps its fields in ``__slots__`` and names, in ``_fields``, those
-that take part in ``==``, ``hash`` and ``repr``.  Its ``__init__`` fills the
-slots through the slots' own setters, which :func:`setters` returns and
-which bypass the raising ``__setattr__``; every later assignment or
-deletion raises AttributeError.
+that take part in ``==``, ``hash`` and ``repr``.  Its ``__init__`` ends with
+one ``self._fill(...)``, which sets the class's own slots in order through
+the slots' own setters, bypassing the raising ``__setattr__``; every later
+assignment or deletion raises AttributeError.  :func:`setters` serves the
+slots that are filled after construction.
 
 >>> class Pair(Record):
 ...     __slots__ = _fields = ("a", "b")
 ...     def __init__(self, a, b):
-...         _set_a(self, a)
-...         _set_b(self, b)
->>> _set_a, _set_b = setters(Pair)
+...         self._fill(a, b)
 >>> Pair(1, b=2)
 Pair(a=1, b=2)
 >>> Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((1, 2))
@@ -33,6 +32,16 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = setters(cls)
+
+    def _fill(self, *values) -> None:
+        """Set the class's own slots, in ``__slots__`` order, to values."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")

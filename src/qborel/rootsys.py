@@ -227,16 +227,8 @@ class RootSystem(Record):
     _weyl_table: dict
 
     def __init__(self, cartan, d, gram, pos_roots):
-        _set_cartan(self, cartan)
-        _set_d(self, d)
-        _set_gram(self, gram)
-        _set_pos_roots(self, pos_roots)
-        _set_two_rho(self, tuple(map(sum, zip(*pos_roots))))
-        _set_pos_root_set(self, frozenset(pos_roots))
-        _set_coroots(self, None)
-        _set_weyl_group(self, None)
-        _set_kostant(self, {})
-        _set_weyl_table(self, {})
+        two_rho = tuple(map(sum, zip(*pos_roots)))
+        self._fill(cartan, d, gram, pos_roots, two_rho, frozenset(pos_roots), None, None, {}, {})
 
     @property
     def rank(self) -> int:
@@ -278,18 +270,7 @@ class RootSystem(Record):
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.pos_roots)})"
 
 
-(
-    _set_cartan,
-    _set_d,
-    _set_gram,
-    _set_pos_roots,
-    _set_two_rho,
-    _set_pos_root_set,
-    _set_coroots,
-    _set_weyl_group,
-    _set_kostant,
-    _set_weyl_table,
-) = setters(RootSystem)
+(_set_coroots,) = setters(RootSystem, "_coroots")
 
 
 def _close_positive_roots(a: list[list[int]], n: int) -> tuple[Vec, ...]:
@@ -458,8 +439,7 @@ class LatticeSubgroup(Record):
     basis: tuple[tuple[int, ...], ...]
 
     def __init__(self, n, basis):
-        _set_n(self, n)
-        _set_basis(self, basis)
+        self._fill(n, basis)
 
     @staticmethod
     def from_generators(n: int, gens) -> "LatticeSubgroup":
@@ -499,9 +479,6 @@ class LatticeSubgroup(Record):
 
     def __repr__(self) -> str:
         return f"LatticeSubgroup(rank={self.rank}, basis={self.basis})"
-
-
-_set_n, _set_basis = setters(LatticeSubgroup)
 
 
 def integer_kernel(rows: list[list[int]], n: int) -> LatticeSubgroup:

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 from .coeffs import QRat, ZERO
 from .errors import NotInWw, NotOrthogonal
-from .record import Record, setters
+from .record import Record
 from .rootsys import LatticeSubgroup, Vec, bilinear, orthogonal_complement_lattice
 from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of_root
 
@@ -54,7 +54,7 @@ class ThetaSet(Record):
         th = _certified(word, (), w, (), w)
         for k in indices:
             th = th.extend(k)
-        _fill(self, word, indices, w, th.roots, th.y)
+        self._fill(word, indices, w, th.roots, th.y)
 
     def extend(self, k: int) -> "ThetaSet":
         """Theta + {k}, for an index k above every index of Theta.
@@ -85,22 +85,13 @@ class ThetaSet(Record):
         return len(self.indices)
 
 
-_set_word, _set_indices, _set_w, _set_roots, _set_y = setters(ThetaSet)
 _new = object.__new__
-
-
-def _fill(th: ThetaSet, word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> None:
-    _set_word(th, word)
-    _set_indices(th, indices)
-    _set_w(th, w)
-    _set_roots(th, roots)
-    _set_y(th, y)
 
 
 def _certified(word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> ThetaSet:
     """A ThetaSet whose certificate the caller has already checked."""
     th = _new(ThetaSet)
-    _fill(th, word, indices, w, roots, y)
+    th._fill(word, indices, w, roots, y)
     return th
 
 
@@ -154,7 +145,7 @@ class Stratum(Record):
     theta: ThetaSet
 
     def __init__(self, theta: ThetaSet):
-        _set_theta(self, theta)
+        self._fill(theta)
 
     @property
     def y(self) -> WeylElt:
@@ -163,9 +154,6 @@ class Stratum(Record):
     @property
     def dim(self) -> int:
         return len(self.theta)
-
-
-(_set_theta,) = setters(Stratum)
 
 
 def enumerate_strata(word: ReducedWord) -> list[Stratum]:
@@ -196,11 +184,7 @@ class CharacterData(Record):
                 if not isinstance(val, QRat) or val == ZERO:
                     raise ValueError(f"character value at {beta} must be a nonzero QRat")
             f = dict(f)
-        _set_stratum(self, stratum)
-        _set_f(self, f)
-
-
-_set_stratum, _set_f = setters(CharacterData)
+        self._fill(stratum, f)
 
 
 def character(stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None) -> CharacterData:
@@ -224,15 +208,11 @@ class CoidealTriple(Record):
     L: LatticeSubgroup
 
     def __init__(self, char: CharacterData, L: LatticeSubgroup):
-        _set_char(self, char)
-        _set_L(self, L)
+        self._fill(char, L)
 
     @property
     def word(self) -> ReducedWord:
         return self.char.stratum.theta.word
-
-
-_set_char, _set_L = setters(CoidealTriple)
 
 
 def validate_triple(t: CoidealTriple) -> bool:
@@ -259,13 +239,7 @@ class ReportRow(Record):
     Lmax_basis: tuple[Vec, ...]
 
     def __init__(self, y_word, theta_roots, dim, Lmax_basis):
-        _set_y_word(self, y_word)
-        _set_theta_roots(self, theta_roots)
-        _set_dim(self, dim)
-        _set_Lmax_basis(self, Lmax_basis)
-
-
-_set_y_word, _set_theta_roots, _set_dim, _set_Lmax_basis = setters(ReportRow)
+        self._fill(y_word, theta_roots, dim, Lmax_basis)
 
 
 class ClassificationReport(Record):
@@ -288,11 +262,7 @@ class ClassificationReport(Record):
     totals: Mapping[str, int]
 
     def __init__(self, type_label, word, rows, bruhat, totals):
-        _set_type_label(self, type_label)
-        _set_report_word(self, word)
-        _set_rows(self, rows)
-        _set_bruhat(self, bruhat)
-        _set_totals(self, totals)
+        self._fill(type_label, word, rows, bruhat, totals)
 
     def to_json(self) -> str:
         doc = {
@@ -327,11 +297,6 @@ class ClassificationReport(Record):
             "# totals: |T^w|={T_w} |W^w|={W_w}".format(**dict(self.totals))
         )
         return "\n".join(lines) + "\n"
-
-
-_set_type_label, _set_report_word, _set_rows, _set_bruhat, _set_totals = setters(
-    ClassificationReport
-)
 
 
 def classify(word: ReducedWord, label: str = "custom") -> ClassificationReport:

@@ -17,7 +17,7 @@ from ..rootsys import LatticeSubgroup, Vec, bilinear, vec_add, vec_sub
 from ..strata import CharacterData, CoidealTriple, validate_triple
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt
-from .linalg import SpanSolver, TermMap, add_term
+from .linalg import SpanSolver, TermMap, add_scaled, add_term
 from .pbw import _PBWData, char_eval, pbw_data, pbw_expand
 
 TKey = tuple[Vec, Word, Vec, Word]
@@ -40,8 +40,7 @@ class TensorElt(TermMap):
         out: dict = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
-                for key, c in _tensor_term_product(self.alg, ka, kb).items():
-                    add_term(out, key, c * ca * cb)
+                add_scaled(out, _tensor_term_product(self.alg, ka, kb), ca * cb)
         return TensorElt(self.alg, out)
 
     def __repr__(self) -> str:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from ..coeffs import QRat, ZERO, ONE, qpow
 from ..errors import BadIndex, NotInSubalgebra
-from ..record import Record, setters
+from ..record import Record
 from ..rootsys import Vec, bilinear
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
@@ -34,8 +34,7 @@ class PBWVec(Record):
     terms: dict
 
     def __init__(self, word: ReducedWord, terms: dict):
-        _set_word(self, word)
-        _set_terms(self, terms)
+        self._fill(word, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,9 +68,6 @@ class PBWVec(Record):
             mono = "*".join(factors) if factors else "1"
             parts.append(f"({self.terms[a].render()})*{mono}")
         return " + ".join(parts)
-
-
-_set_word, _set_terms = setters(PBWVec)
 
 
 class _PBWData:

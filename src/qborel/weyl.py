@@ -93,7 +93,7 @@ def _descend(rs: RootSystem, p: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple([x - k * g for x, g in zip(p, rs.gram[i])])
 
 
-class WeylElt:
+class WeylElt(Record):
     """Group element w, stored by its orbit vector ``vec`` = w(2 rho).
 
     There is one object per element and root system: ``WeylElt(rs, vec)``
@@ -142,11 +142,6 @@ class WeylElt:
         if root is not None and w.root is None:
             _set_root(w, root)
         return w
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeylElt is immutable")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not WeylElt:
@@ -227,16 +222,9 @@ class WeylElt:
 
 
 _new = object.__new__
-(
-    _set_rs,
-    _set_vec,
-    _set_root,
-    _set_pairings,
-    _set_length,
-    _set_canonical,
-    _set_inversions,
-    _set_products,
-) = setters(WeylElt)
+_set_root, _set_canonical, _set_inversions, _set_products = setters(
+    WeylElt, "root", "_canonical", "_inversions", "_products"
+)
 
 
 def _interned(rs: RootSystem, vec: Vec) -> WeylElt:
@@ -272,20 +260,13 @@ def _in_orbit(rs: RootSystem, vec: Vec) -> bool:
 
 def _weyl_elt(rs: RootSystem, vec: Vec) -> WeylElt:
     # the one constructor, called by _interned for a vector the table does
-    # not hold yet; the slots' own setters bypass the raising __setattr__.
-    # (beta, vec) is sum_j beta_j (alpha_j, vec), and (beta, w(2 rho))
-    # = (w^{-1}(beta), 2 rho) is negative exactly when w^{-1} sends beta to
-    # a negative root.
+    # not hold yet.  (beta, vec) is sum_j beta_j (alpha_j, vec), and
+    # (beta, w(2 rho)) = (w^{-1}(beta), 2 rho) is negative exactly when
+    # w^{-1} sends beta to a negative root.
     p = tuple([sum(map(mul, row, vec)) for row in rs.gram])
+    length = sum([sum(map(mul, beta, p)) < 0 for beta in rs.pos_roots])
     w = _new(WeylElt)
-    _set_rs(w, rs)
-    _set_vec(w, vec)
-    _set_root(w, None)
-    _set_pairings(w, p)
-    _set_length(w, sum([sum(map(mul, beta, p)) < 0 for beta in rs.pos_roots]))
-    _set_canonical(w, None)
-    _set_inversions(w, None)
-    _set_products(w, None)
+    w._fill(rs, vec, None, p, length, None, None, None)
     return w
 
 
@@ -356,16 +337,10 @@ class ReducedWord(Record):
         element = _interned(rs, vec)
         if element.length != len(letters):
             raise NotReduced(f"word {letters} is not reduced")
-        _set_word_rs(self, rs)
-        _set_letters(self, letters)
-        _set_element(self, element)
-        _set_roots(self, tuple(roots))
+        self._fill(rs, letters, element, tuple(roots))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-_set_word_rs, _set_letters, _set_element, _set_roots = setters(ReducedWord)
 
 
 def inversion_set(w: WeylElt) -> tuple[Vec, ...]:

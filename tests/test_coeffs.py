@@ -21,7 +21,6 @@ from qborel.errors import DivisionByZero
 
 def test_constants():
     assert ZERO.is_zero()
-    assert ONE.is_one()
     assert from_int(0) == ZERO
     assert from_int(1) == ONE
     assert qpow(0) == ONE

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import qborel
+import qborel.cli
+import qborel.uqplus
 from qborel import ReducedWord, build_root_system
 from qborel.cli import Check, RunConfig
 from qborel.coeffs import from_int, qpow
@@ -48,6 +50,7 @@ def _build(rs):
         "rs": rs,
         "lattice": lattice,
         "word": word,
+        "element": word.element,
         "theta": theta,
         "stratum": stratum,
         "char": char,
@@ -67,6 +70,7 @@ REPRS = {
     "rs": A3_REPR,
     "lattice": LATTICE_REPR,
     "word": WORD_REPR,
+    "element": "WeylElt(s1s3s2)",
     "theta": THETA_REPR,
     "stratum": STRATUM_REPR,
     "char": f"CharacterData(stratum={STRATUM_REPR}, f={{(1, 0, 0): QRat(q), (0, 0, 1): QRat(-2)}})",
@@ -83,11 +87,13 @@ REPRS = {
     "failed_check": "Check(name='b', ok=False, detail='why')",
 }
 
-# the fields each value record compares and hashes, as a tuple
+# the key each value record compares and hashes: a tuple of its fields, or
+# for a Weyl group element its orbit vector alone
 VALUE_KEYS = {
     "rs": lambda x: (x.cartan, x.d, x.gram, x.pos_roots),
     "lattice": lambda x: (x.n, x.basis),
     "word": lambda x: (x.rs, x.letters),
+    "element": lambda x: x.vec,
     "theta": lambda x: (x.word, x.indices),
     "stratum": lambda x: (x.theta,),
     "row": lambda x: (x.y_word, x.theta_roots, x.dim, x.Lmax_basis),
@@ -103,10 +109,21 @@ def pair():
     return _build(build_root_system("A3")), _build(build_root_system("A3"))
 
 
+def _record_classes(cls=Record):
+    """Every subclass of cls, at any depth, that a module of the package
+    holds under its name (a class made by a doctest, say, is left out)."""
+    for sub in cls.__subclasses__():
+        name = sub.__module__
+        if name.startswith("qborel.") and getattr(sys.modules[name], sub.__qualname__, None) is sub:
+            yield sub
+        yield from _record_classes(sub)
+
+
 def test_every_record_is_covered(pair):
     a, _ = pair
     assert set(a) == set(REPRS) == set(VALUE_KEYS) | set(IDENTITY) | set(UNHASHABLE)
-    assert all(isinstance(x, Record) for x in a.values())
+    # the modules imported above hold every record class of the package
+    assert set(_record_classes()) == {type(x) for x in a.values()}
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))
@@ -165,6 +182,8 @@ def test_records_are_read_only(pair, name):
     x = pair[0][name]
     slots = [f for cls in type(x).__mro__ for f in getattr(cls, "__slots__", ())]
     assert slots, name
+    # every slot reads: an __init__ that passes _fill too few values leaves
+    # the last slots unset, and reading one raises AttributeError
     for field in slots:
         before = getattr(x, field)
         with pytest.raises(AttributeError):
