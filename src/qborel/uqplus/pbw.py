@@ -4,6 +4,16 @@ A PBWVec stores coordinates over the ordered monomials
 E_{beta_t}^{a_t} ... E_{beta_1}^{a_1}; exponent tuples are written
 (a_1, ..., a_t).  Expansion is a per-weight linear solve against the
 normal-form coordinates of the monomials, never a formula lookup.
+
+The LS relations and the left multiplication columns are solved on a
+window: only the monomials of their weight supported on positions
+lo..hi, the span that the convexity of the order (Levendorskii-Soibelman,
+De Concini-Kac-Procesi) puts them in.  The PBW monomials are linearly
+independent, so an exact solution in a sub-span is the unique set of
+coordinates, and correctness never rests on the window, only speed
+does.  A solve the window cannot meet falls back to pbw_expand on the
+whole weight, so a result that leaves its window still comes out in
+full, where the test suites see it.
 """
 
 from __future__ import annotations
@@ -126,12 +136,47 @@ class _PBWData:
             self._monomials[a] = cached
         return cached
 
+    def expand_on_window(self, x: FreeElt, lo: int, hi: int) -> PBWVec:
+        """PBW coordinates of x, solved over the monomials of its weight
+        supported on positions lo..hi (1-based) alone.
+
+        The monomials are independent, so a solution there is the
+        expansion; when there is none, x is expanded on its whole weight
+        by pbw_expand, which also raises NotInSubalgebra.
+        """
+        red = self.alg.nf.reduce(x)
+        if red.is_zero():
+            return PBWVec(self.word, {})
+        mu = red.homogeneous_weight(self.alg.rs.rank)
+        sol = None
+        if mu is not None:
+            expts = [
+                a
+                for a in self.exponents_of_weight(mu)
+                if not any(a[: lo - 1]) and not any(a[hi:])
+            ]
+            sol = solve_in_span([self.monomial(a).terms for a in expts], red.terms)
+        if sol is None:
+            return pbw_expand(self.alg, self.word, red)
+        return PBWVec(self.word, {a: c for a, c in zip(expts, sol) if c != ZERO})
+
     def left_mult_column(self, k: int, a: Expt) -> dict:
-        """PBW coordinates of E_{beta_k} * E^a, cached per word."""
+        """PBW coordinates of E_{beta_k} * E^a, cached per word.
+
+        When k is at least every position of a, the product already is
+        the ordered monomial E^(a + e_k), with coordinate ONE.  Otherwise
+        convexity puts it in the monomials supported between
+        min(k, min supp a) and max supp a, and it is solved on that
+        window (see expand_on_window); the result is exact either way.
+        """
         cached = self._left_mult.get((k, a))
         if cached is None:
-            prod = self.alg.nf.reduce(self.free_vectors[k - 1] * self.monomial(a))
-            cached = pbw_expand(self.alg, self.word, prod).terms
+            supp = [p for p, e in enumerate(a, start=1) if e]
+            if not supp or k >= supp[-1]:
+                cached = {a[: k - 1] + (a[k - 1] + 1,) + a[k:]: ONE}
+            else:
+                prod = self.free_vectors[k - 1] * self.monomial(a)
+                cached = self.expand_on_window(prod, min(k, supp[0]), supp[-1]).terms
             self._left_mult[(k, a)] = cached
         return cached
 
@@ -184,8 +229,11 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
 
     The straightening theorem puts the result inside the span of the
     monomials supported strictly between i and j, of weight
-    beta_i + beta_j; this shape is asserted by the test suite rather
-    than assumed here.
+    beta_i + beta_j, and the direct expansion is solved on that window
+    i+1..j-1 alone.  The PBW monomials are independent, so a solution
+    there is the unique expansion; a relation the window cannot hold
+    falls back to the whole weight and comes out in full, so the shape
+    is still asserted by the test suite rather than assumed here.
 
     For i >= 2 the pair is the pair (1, j-i+1) of the suffix word
     i_i ... i_t, with i-1 zero exponents put in front: T_{i_1} ...
@@ -214,7 +262,7 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
         ei = data.free_vectors[i - 1]
         ej = data.free_vectors[j - 1]
         scal = qpow(bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1]))
-        out = pbw_expand(alg, word, ei * ej - (ej * ei).scale(scal))
+        out = data.expand_on_window(ei * ej - (ej * ei).scale(scal), i + 1, j - 1)
     data._ls[(i, j)] = out
     return out
 

@@ -4,6 +4,8 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -19,6 +21,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
+
+def test_python_m_qborel_runs_the_cli(capsys):
+    argv = ["verify", "--type", "A1", "--suite", "weyl"]
+    src = os.path.dirname(os.path.dirname(qborel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qborel", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_classify_tsv(capsys):

@@ -11,6 +11,7 @@ from qborel.rootsys import bilinear, build_root_system
 from qborel.strata import Stratum, character, enumerate_Tw, theta_set
 from qborel.uqplus.free import FreeElt, kostant_dim
 from qborel.uqplus.full import UAlgebra, lusztig_T
+from qborel.uqplus import pbw as pbw_module
 from qborel.uqplus.linalg import SpanSolver
 from qborel.uqplus.pbw import (
     char_eval,
@@ -282,3 +283,80 @@ def test_enumerate_every_element(label):
         good = sorted(th.indices for th in enumerate_Tw(word))
         got = sorted(enumerate_polynomial_ideals(alg, word))
         assert got == good, (word.letters, got, good)
+
+
+def _columns(data, bound):
+    """Every (k, a) with the weight of a plus beta_k of height at most bound."""
+    rank = len(data.roots[0])
+    for k, beta in enumerate(data.roots, start=1):
+        for mu in _weights(rank, bound - sum(beta)):
+            for a in data.exponents_of_weight(mu):
+                yield k, a
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """The argument tuples of every pbw_expand call made through the module."""
+    calls = []
+    expand = pbw_module.pbw_expand
+    monkeypatch.setattr(
+        pbw_module, "pbw_expand", lambda *args: calls.append(args) or expand(*args)
+    )
+    return calls
+
+
+# G2 at height 7, the least that holds its root vectors (480 columns):
+# its default height 10 has 1,858, and the oracle takes 100 s over them
+WINDOW_TYPES = [("A2", None), ("B2", None), ("G2", 7), ("A3", None)]
+
+
+@pytest.mark.parametrize("label,height", WINDOW_TYPES)
+def test_left_mult_column_matches_the_whole_weight_expansion(label, height):
+    # the oracle expands the reduced product on every monomial of its
+    # weight, on its own algebra, so it shares no cache with the column
+    rs = build_root_system(label)
+    alg, oracle = UAlgebra(rs, height), UAlgebra(rs, height)
+    checked = shortcut = 0
+    for word in _oracle_words(label):
+        data, odata = pbw_data(alg, word), pbw_data(oracle, word)
+        for k, a in _columns(data, alg.nf.height_bound):
+            got = data.left_mult_column(k, a)
+            prod = oracle.nf.reduce(odata.free_vectors[k - 1] * odata.monomial(a))
+            assert got == pbw_expand(oracle, word, prod).terms, (word.letters, k, a)
+            if all(e == 0 for e in a[k:]):
+                assert got == {a[: k - 1] + (a[k - 1] + 1,) + a[k:]: ONE}
+                shortcut += 1
+            checked += 1
+    assert shortcut < checked
+
+
+@pytest.mark.parametrize("label,height", WINDOW_TYPES)
+def test_the_window_never_falls_back(label, height, expand_calls):
+    rs = build_root_system(label)
+    alg = UAlgebra(rs, height)
+    for word in _oracle_words(label):
+        data = pbw_data(alg, word)
+        for i, j in combinations(range(1, len(word.letters) + 1), 2):
+            ls_relation(alg, word, i, j)
+        for k, a in _columns(data, alg.nf.height_bound):
+            data.left_mult_column(k, a)
+    assert expand_calls == []
+
+
+def test_a_window_too_narrow_falls_back_to_the_whole_weight(expand_calls):
+    # ls_relation(1, 3) on A2 is c * E_{beta_2}; a window that misses
+    # position 2 must still give it, from the whole weight
+    alg = UAlgebra(A2)
+    data = pbw_data(alg, W0_A)
+    e1, e3 = data.free_vectors[0], data.free_vectors[2]
+    x = e1 * e3 - (e3 * e1).scale(qpow(bilinear(A2, W0_A.roots[0], W0_A.roots[2])))
+    want = pbw_expand(alg, W0_A, x)
+    assert set(want.terms) == {(0, 1, 0)}
+    del expand_calls[:]
+    assert data.expand_on_window(x, 2, 2) == want
+    assert expand_calls == []
+    for lo, hi in [(1, 1), (3, 3), (2, 1)]:
+        assert data.expand_on_window(x, lo, hi) == want, (lo, hi)
+    assert len(expand_calls) == 3
+    with pytest.raises(NotInSubalgebra):
+        pbw_data(alg, ReducedWord(A2, (1,))).expand_on_window(FreeElt.gen(2), 1, 1)
