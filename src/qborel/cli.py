@@ -47,6 +47,8 @@ from .weyl import (
 )
 from .strata import (
     Stratum,
+    _fmt_vecs,
+    _fmt_word,
     character,
     classify,
     enumerate_strata,
@@ -126,10 +128,11 @@ def _config(args: argparse.Namespace) -> RunConfig:
     height = getattr(args, "height", None)
     if height is not None and height < 1:
         raise UsageError(f"--height must be at least 1, got {height}")
+    word_sel = getattr(args, "word", None)
     return RunConfig(
         rs=rs,
         label=label,
-        word_sel=getattr(args, "word", None) or "w0",
+        word_sel="w0" if word_sel is None else word_sel,
         height=height,
         fmt=getattr(args, "format", "tsv"),
         suite=getattr(args, "suite", None) or "all",
@@ -164,14 +167,6 @@ def _emit(cfg: RunConfig, doc, tsv_text: str) -> None:
         print(json.dumps(doc, indent=2))
     else:
         print(tsv_text, end="")
-
-
-def _fmt_word(letters) -> str:
-    return ",".join(str(i) for i in letters) or "-"
-
-
-def _fmt_vecs(vs) -> str:
-    return ";".join("(" + ",".join(str(c) for c in v) + ")" for v in vs) or "-"
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,16 @@ def validate_triple(t: CoidealTriple) -> bool:
 # the classification report
 
 
+def _fmt_word(letters) -> str:
+    """A TSV field: the letters joined by commas, "-" when there are none."""
+    return ",".join(str(i) for i in letters) or "-"
+
+
+def _fmt_vecs(vs) -> str:
+    """A TSV field: each vector as (c1,...,cn), joined by ";", "-" when there are none."""
+    return ";".join("(" + ",".join(str(c) for c in v) + ")" for v in vs) or "-"
+
+
 class ReportRow(Record):
     __slots__ = _fields = ("y_word", "theta_roots", "dim", "Lmax_basis")
 
@@ -283,14 +293,14 @@ class ClassificationReport(Record):
         return json.dumps(doc, indent=2)
 
     def to_tsv(self) -> str:
-        def vecs(vs):
-            return ";".join("(" + ",".join(str(c) for c in v) + ")" for v in vs) or "-"
-
+        # the identity's empty word heads its table as "word ", not "word -"
         lines = [f"# type {self.type_label}\tword {','.join(str(i) for i in self.word)}"]
         lines.append("y_word\ttheta_roots\tdim\tLmax_basis")
         for r in self.rows:
-            yw = ",".join(str(i) for i in r.y_word) or "-"
-            lines.append(f"{yw}\t{vecs(r.theta_roots)}\t{r.dim}\t{vecs(r.Lmax_basis)}")
+            lines.append(
+                f"{_fmt_word(r.y_word)}\t{_fmt_vecs(r.theta_roots)}\t{r.dim}"
+                f"\t{_fmt_vecs(r.Lmax_basis)}"
+            )
         pairs = " ".join(f"{i}<{j}" for i, j in self.bruhat) or "-"
         lines.append(f"# bruhat: {pairs}")
         lines.append(

@@ -2,18 +2,17 @@
 
 A PBWVec stores coordinates over the ordered monomials
 E_{beta_t}^{a_t} ... E_{beta_1}^{a_1}; exponent tuples are written
-(a_1, ..., a_t).  Expansion is a per-weight linear solve against the
-normal-form coordinates of the monomials, never a formula lookup.
-
-The LS relations and the left multiplication columns are solved on a
-window: only the monomials of their weight supported on positions
-lo..hi, the span that the convexity of the order (Levendorskii-Soibelman,
-De Concini-Kac-Procesi) puts them in.  The PBW monomials are linearly
-independent, so an exact solution in a sub-span is the unique set of
-coordinates, and correctness never rests on the window, only speed
-does.  A solve the window cannot meet falls back to pbw_expand on the
-whole weight, so a result that leaves its window still comes out in
-full, where the test suites see it.
+(a_1, ..., a_t).  Expansion, _PBWData.expand, is a per-weight linear
+solve against the normal-form coordinates of the monomials, never a
+formula lookup.  It may be put on a window: the monomials of the weight
+supported on positions lo..hi.  The LS relations and the left
+multiplication columns are solved on the window that the convexity of
+the order (Levendorskii-Soibelman, De Concini-Kac-Procesi) puts them in.
+The PBW monomials are linearly independent, so an exact solution in a
+sub-span is the unique set of coordinates, and correctness never rests
+on the window, only speed does.  A weight the window cannot meet is
+solved again on the whole weight, so a result that leaves its window
+still comes out in full, where the test suites see it.
 """
 
 from __future__ import annotations
@@ -136,29 +135,32 @@ class _PBWData:
             self._monomials[a] = cached
         return cached
 
-    def expand_on_window(self, x: FreeElt, lo: int, hi: int) -> PBWVec:
-        """PBW coordinates of x, solved over the monomials of its weight
-        supported on positions lo..hi (1-based) alone.
+    def expand(self, x: FreeElt, lo: int = 1, hi: int | None = None) -> PBWVec:
+        """PBW coordinates of x, one solve per weight component.
 
-        The monomials are independent, so a solution there is the
-        expansion; when there is none, x is expanded on its whole weight
-        by pbw_expand, which also raises NotInSubalgebra.
+        Each component is solved over the monomials of its weight
+        supported on positions lo..hi (1-based; by default the whole
+        word).  The monomials are independent, so a solution there is the
+        expansion; only when there is none is the component solved again
+        on its whole weight.  Raises NotInSubalgebra when x is not in the
+        span.
         """
+        hi = len(self.roots) if hi is None else hi
+        terms: dict[Expt, QRat] = {}
         red = self.alg.nf.reduce(x)
-        if red.is_zero():
-            return PBWVec(self.word, {})
-        mu = red.homogeneous_weight(self.alg.rs.rank)
-        sol = None
-        if mu is not None:
-            expts = [
-                a
-                for a in self.exponents_of_weight(mu)
-                if not any(a[: lo - 1]) and not any(a[hi:])
-            ]
-            sol = solve_in_span([self.monomial(a).terms for a in expts], red.terms)
-        if sol is None:
-            return pbw_expand(self.alg, self.word, red)
-        return PBWVec(self.word, {a: c for a, c in zip(expts, sol) if c != ZERO})
+        for mu, comp in red.weight_components(self.alg.rs.rank).items():
+            expts = self.exponents_of_weight(mu)
+            if not expts:
+                raise NotInSubalgebra(f"no monomials of weight {mu} for this word")
+            window = [a for a in expts if not any(a[: lo - 1]) and not any(a[hi:])]
+            sol = solve_in_span([self.monomial(a).terms for a in window], comp.terms)
+            if sol is None and len(window) < len(expts):
+                window = expts
+                sol = solve_in_span([self.monomial(a).terms for a in window], comp.terms)
+            if sol is None:
+                raise NotInSubalgebra(f"weight {mu} component is outside the span")
+            terms.update((a, c) for a, c in zip(window, sol) if c != ZERO)
+        return PBWVec(self.word, terms)
 
     def left_mult_column(self, k: int, a: Expt) -> dict:
         """PBW coordinates of E_{beta_k} * E^a, cached per word.
@@ -166,8 +168,8 @@ class _PBWData:
         When k is at least every position of a, the product already is
         the ordered monomial E^(a + e_k), with coordinate ONE.  Otherwise
         convexity puts it in the monomials supported between
-        min(k, min supp a) and max supp a, and it is solved on that
-        window (see expand_on_window); the result is exact either way.
+        min(k, min supp a) and max supp a, and expand solves it on that
+        window; the result is exact either way.
         """
         cached = self._left_mult.get((k, a))
         if cached is None:
@@ -176,7 +178,7 @@ class _PBWData:
                 cached = {a[: k - 1] + (a[k - 1] + 1,) + a[k:]: ONE}
             else:
                 prod = self.free_vectors[k - 1] * self.monomial(a)
-                cached = self.expand_on_window(prod, min(k, supp[0]), supp[-1]).terms
+                cached = self.expand(prod, min(k, supp[0]), supp[-1]).terms
             self._left_mult[(k, a)] = cached
         return cached
 
@@ -197,22 +199,7 @@ def pbw_expand(alg: UAlgebra, word: ReducedWord, x) -> PBWVec:
     """
     if isinstance(x, UElt):
         x = x.as_free()
-    data = pbw_data(alg, word)
-    n = alg.rs.rank
-    red = alg.nf.reduce(x)
-    terms: dict[Expt, QRat] = {}
-    for mu, comp in red.weight_components(n).items():
-        expts = data.exponents_of_weight(mu)
-        if not expts:
-            raise NotInSubalgebra(f"no monomials of weight {mu} for this word")
-        vectors = [data.monomial(a).terms for a in expts]
-        sol = solve_in_span(vectors, comp.terms)
-        if sol is None:
-            raise NotInSubalgebra(f"weight {mu} component is outside the span")
-        for a, c in zip(expts, sol):
-            if c != ZERO:
-                terms[a] = c
-    return PBWVec(word, terms)
+    return pbw_data(alg, word).expand(x)
 
 
 def pbw_contract(alg: UAlgebra, word: ReducedWord, v: PBWVec) -> FreeElt:
@@ -229,10 +216,10 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
 
     The straightening theorem puts the result inside the span of the
     monomials supported strictly between i and j, of weight
-    beta_i + beta_j, and the direct expansion is solved on that window
-    i+1..j-1 alone.  The PBW monomials are independent, so a solution
-    there is the unique expansion; a relation the window cannot hold
-    falls back to the whole weight and comes out in full, so the shape
+    beta_i + beta_j, and the direct expansion is _PBWData.expand on that
+    window i+1..j-1.  The PBW monomials are independent, so a solution
+    there is the unique expansion; a relation the window cannot hold is
+    solved again on the whole weight and comes out in full, so the shape
     is still asserted by the test suite rather than assumed here.
 
     For i >= 2 the pair is the pair (1, j-i+1) of the suffix word
@@ -262,7 +249,7 @@ def ls_relation(alg: UAlgebra, word: ReducedWord, i: int, j: int) -> PBWVec:
         ei = data.free_vectors[i - 1]
         ej = data.free_vectors[j - 1]
         scal = qpow(bilinear(alg.rs, data.roots[i - 1], data.roots[j - 1]))
-        out = data.expand_on_window(ei * ej - (ej * ei).scale(scal), i + 1, j - 1)
+        out = data.expand(ei * ej - (ej * ei).scale(scal), i + 1, j - 1)
     data._ls[(i, j)] = out
     return out
 

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +115,37 @@ def test_ls_bad_indices(capsys):
     code, _, err = run(capsys, "ls", "--type", "A2", "3", "1")
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize("command", ["weyl", "strata", "classify", "ls"])
+def test_an_empty_word_is_refused(capsys, command):
+    # an explicit empty --word is the same error as a word of no letters,
+    # not a silent w0
+    extra = ["1", "2"] if command == "ls" else []
+    for word in ("", ","):
+        code, out, err = run(capsys, command, "--type", "B2", "--word", word, *extra)
+        assert (code, out, err) == (2, "", "error: empty word\n"), word
+
+
+def test_a_type_string_of_unbounded_rank_exits_2_in_bounded_memory():
+    # under a 1.5 GB address-space limit and a timeout, so that a
+    # regression fails instead of hanging
+    def limit():
+        cap = 1536 * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(qborel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qborel", "roots", "--type", "A99999999999999999999"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: type string 'A99999999999999999999': rank above")
 
 
 def test_ls_refuses_every_word(capsys):
@@ -315,6 +347,10 @@ FROZEN = {
         "c08d8963aab65533e5bd5bf32b5394dcaae21de8e4869a07e3a0fe6912cc71b3",
     ("verify", "--type", "B2", "--suite", "all"):
         "5ceb1b3f81d93e278b95ef23db8fe280ce58547c601b4dca28d5662370ee6e30",
+    ("verify", "--type", "G2", "--suite", "all"):
+        "56e219d44ea7add5ff21b47e8cc3834b94c84a467b4d998412bf9c2b61644aef",
+    ("ls", "--type", "G2", "2", "5"):
+        "9bc87583e1cf33a5d469540e704cdca44790d8710332f07f5b5c74978f4a9687",
 }
 
 

@@ -153,6 +153,8 @@ def test_invalid_cartan():
     with pytest.raises(InvalidCartan):
         build_root_system("Aq")
     with pytest.raises(InvalidCartan):
+        build_root_system("A\u00b2")  # a digit to str.isdigit, not to int
+    with pytest.raises(InvalidCartan):
         build_root_system([[2, -1]])
     with pytest.raises(InvalidCartan):
         build_root_system([[2, 1], [1, 2]])
@@ -163,6 +165,23 @@ def test_invalid_cartan():
         build_root_system([[2, -2], [-2, 2]])
     with pytest.raises(InvalidCartan):
         build_root_system([[1]])
+
+
+@pytest.mark.parametrize(
+    "name", ["A65", "D100", "A99999999999999999999", "A" + "9" * 5000, "A0065"]
+)
+def test_a_type_string_of_unbounded_rank_is_refused_before_building(name, monkeypatch):
+    def no_matrix(n):
+        raise AssertionError(f"built a rank-{n} chain")
+
+    monkeypatch.setattr(rootsys, "_chain", no_matrix)
+    with pytest.raises(InvalidCartan, match=f"rank above {rootsys.MAX_RANK} "):
+        _named_cartan(name)
+
+
+def test_the_rank_cap_admits_its_own_rank():
+    assert len(_named_cartan(f"A{rootsys.MAX_RANK}")) == rootsys.MAX_RANK
+    assert _named_cartan("A002") == _named_cartan("A2")
 
 
 @pytest.mark.parametrize(

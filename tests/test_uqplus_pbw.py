@@ -295,12 +295,12 @@ def _columns(data, bound):
 
 
 @pytest.fixture
-def expand_calls(monkeypatch):
-    """The argument tuples of every pbw_expand call made through the module."""
+def solves(monkeypatch):
+    """One entry per solve_in_span call made through the pbw module."""
     calls = []
-    expand = pbw_module.pbw_expand
+    solve = pbw_module.solve_in_span
     monkeypatch.setattr(
-        pbw_module, "pbw_expand", lambda *args: calls.append(args) or expand(*args)
+        pbw_module, "solve_in_span", lambda *args: calls.append(args) or solve(*args)
     )
     return calls
 
@@ -331,7 +331,19 @@ def test_left_mult_column_matches_the_whole_weight_expansion(label, height):
 
 
 @pytest.mark.parametrize("label,height", WINDOW_TYPES)
-def test_the_window_never_falls_back(label, height, expand_calls):
+def test_the_window_never_falls_back(label, height, solves, monkeypatch):
+    # every element expanded here has one weight, so a window that holds
+    # makes one solve and a fallback to the whole weight makes two
+    per_call = []
+    expand = pbw_module._PBWData.expand
+
+    def counted(self, *args):
+        before = len(solves)
+        out = expand(self, *args)
+        per_call.append(len(solves) - before)
+        return out
+
+    monkeypatch.setattr(pbw_module._PBWData, "expand", counted)
     rs = build_root_system(label)
     alg = UAlgebra(rs, height)
     for word in _oracle_words(label):
@@ -340,10 +352,10 @@ def test_the_window_never_falls_back(label, height, expand_calls):
             ls_relation(alg, word, i, j)
         for k, a in _columns(data, alg.nf.height_bound):
             data.left_mult_column(k, a)
-    assert expand_calls == []
+    assert max(per_call) == 1
 
 
-def test_a_window_too_narrow_falls_back_to_the_whole_weight(expand_calls):
+def test_a_window_too_narrow_falls_back_to_the_whole_weight(solves):
     # ls_relation(1, 3) on A2 is c * E_{beta_2}; a window that misses
     # position 2 must still give it, from the whole weight
     alg = UAlgebra(A2)
@@ -352,11 +364,28 @@ def test_a_window_too_narrow_falls_back_to_the_whole_weight(expand_calls):
     x = e1 * e3 - (e3 * e1).scale(qpow(bilinear(A2, W0_A.roots[0], W0_A.roots[2])))
     want = pbw_expand(alg, W0_A, x)
     assert set(want.terms) == {(0, 1, 0)}
-    del expand_calls[:]
-    assert data.expand_on_window(x, 2, 2) == want
-    assert expand_calls == []
+    del solves[:]
+    assert data.expand(x, 2, 2) == want
+    assert len(solves) == 1
     for lo, hi in [(1, 1), (3, 3), (2, 1)]:
-        assert data.expand_on_window(x, lo, hi) == want, (lo, hi)
-    assert len(expand_calls) == 3
+        del solves[:]
+        assert data.expand(x, lo, hi) == want, (lo, hi)
+        assert len(solves) == 2, (lo, hi)
+    # x + E_{beta_1} has the weights beta_2 and beta_1: the window 1..2
+    # holds both, and the window 2..2 only the first, so the second alone
+    # is solved again on its whole weight
+    want = pbw_expand(UAlgebra(A2), W0_A, x + e1)
+    assert set(want.terms) == {(0, 1, 0), (1, 0, 0)}
+    for (lo, hi), made in [((1, 2), 2), ((2, 2), 3)]:
+        del solves[:]
+        assert data.expand(x + e1, lo, hi) == want, (lo, hi)
+        assert len(solves) == made, (lo, hi)
     with pytest.raises(NotInSubalgebra):
-        pbw_data(alg, ReducedWord(A2, (1,))).expand_on_window(FreeElt.gen(2), 1, 1)
+        pbw_data(alg, ReducedWord(A2, (1,))).expand(FreeElt.gen(2), 1, 1)
+    # on the whole word there is nothing to fall back to: E_1 E_2 is not a
+    # multiple of E_{beta_2}, the one monomial of its weight for s1 s2
+    del solves[:]
+    with pytest.raises(NotInSubalgebra, match="outside the span"):
+        pbw_expand(alg, ReducedWord(A2, (1, 2)), FreeElt({(1, 2): ONE}))
+    assert len(solves) == 1
+
