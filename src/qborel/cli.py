@@ -117,10 +117,10 @@ class Check(Record):
 def _config(args: argparse.Namespace) -> RunConfig:
     cartan_file = getattr(args, "cartan_file", None)
     type_str = getattr(args, "type", None)
-    if cartan_file:
+    if cartan_file is not None:
         rs = load_cartan_file(cartan_file)
         label = type_str or "custom"
-    elif type_str:
+    elif type_str is not None:
         rs = build_root_system(type_str)
         label = type_str
     else:
@@ -135,7 +135,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         word_sel="w0" if word_sel is None else word_sel,
         height=height,
         fmt=getattr(args, "format", "tsv"),
-        suite=getattr(args, "suite", None) or "all",
+        suite=getattr(args, "suite", "all"),
     )
 
 

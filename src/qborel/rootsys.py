@@ -77,7 +77,7 @@ def _chain(n: int) -> list[list[int]]:
 
 
 def _named_cartan(name: str) -> list[list[int]]:
-    kind, rank = name[0].upper(), name[1:]
+    kind, rank = name[:1].upper(), name[1:]
     if not (rank.isascii() and rank.isdigit()):
         raise InvalidCartan(f"cannot parse type string {name!r}")
     if len(rank.lstrip("0")) > len(str(MAX_RANK)) or int(rank) > MAX_RANK:

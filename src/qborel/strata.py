@@ -293,8 +293,7 @@ class ClassificationReport(Record):
         return json.dumps(doc, indent=2)
 
     def to_tsv(self) -> str:
-        # the identity's empty word heads its table as "word ", not "word -"
-        lines = [f"# type {self.type_label}\tword {','.join(str(i) for i in self.word)}"]
+        lines = [f"# type {self.type_label}\tword {_fmt_word(self.word)}"]
         lines.append("y_word\ttheta_roots\tdim\tLmax_basis")
         for r in self.rows:
             lines.append(

@@ -15,8 +15,8 @@ The Lusztig symmetries T_a and T_a^-1 act term by term, and each term's
 image is built from the image of the term one factor shorter.  When the
 argument lies in U^+ and its image is known to stay in U^+, only the
 F-free terms of each E-word's image are built and kept, a letter a of
-the word by the K-terms of E_e F_a alone; every other argument takes the
-full product in the whole algebra.
+the word by the commutator [E_e, F_a] alone; every other argument takes
+the full product in the whole algebra.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class UAlgebra:
         self.rs = rs
         self.nf = NFContext(rs, height_bound)
         self._zero_vec = (0,) * rs.rank
-        self._ef: dict[tuple[Word, int], dict[Key, QRat]] = {}
+        self._ef: dict = {}  # (E-word e, j) -> [E_e, F_j], keyed by (K-exponent, E-word)
         self._t_images: dict[tuple[int, bool, Key], UElt] = {}  # (a, inverse, term) -> its T_a-image
         # (a, inverse, E-word) -> the F-free terms of its T_a-image (lusztig_T's U^+ path)
         self._t_plus_images: dict[tuple[int, bool, Word], UElt] = {}
@@ -140,19 +140,18 @@ class UAlgebra:
     def _wt(self, w: Word) -> Vec:
         return word_weight(w, self.rs.rank)
 
-    def _e_times_f(self, e: Word, j: int) -> dict[Key, QRat]:
-        """Normal form of E_e * F_j."""
+    def _commutator_f(self, e: Word, j: int) -> dict[tuple[Vec, Word], QRat]:
+        """The F-free commutator [E_e, F_j], keyed by (K-exponent, E-word):
+        [E_h E_i, F_j] = [E_h, F_j] E_i + delta_ij E_h (K_i - K_i^-1)/(q_i - q_i^-1)."""
         cached = self._ef.get((e, j))
         if cached is not None:
             return cached
-        out: dict[Key, QRat] = {}
-        if not e:
-            out[((j,), self._zero_vec, ())] = ONE
-        else:
+        out = {}
+        if e:
             head, i = e[:-1], e[-1]
-            for (f1, k1, e1), c in self._e_times_f(head, j).items():
+            for (k1, e1), c in self._commutator_f(head, j).items():
                 for e2, c2 in self.nf.reduce_word(e1 + (i,)).items():
-                    add_term(out, (f1, k1, e2), c * c2)
+                    add_term(out, (k1, e2), c * c2)
             if i == j:
                 hw = self._wt(head)
                 ai = self.rs.simple(i)
@@ -160,18 +159,19 @@ class UAlgebra:
                 pos = qpow(-bilinear(self.rs, ai, hw)) * denom
                 neg = -qpow(bilinear(self.rs, ai, hw)) * denom
                 for e2, c2 in self.nf.reduce_word(head).items():
-                    add_term(out, ((), ai, e2), pos * c2)
-                    add_term(out, ((), vec_neg(ai), e2), neg * c2)
+                    add_term(out, (ai, e2), pos * c2)
+                    add_term(out, (vec_neg(ai), e2), neg * c2)
         self._ef[(e, j)] = out
         return out
 
     def _key_times_f(self, key: Key, j: int) -> dict[Key, QRat]:
+        """F_f K_k E_e * F_j = q^-(k, alpha_j) F_(f j) K_k E_e + F_f K_k [E_e, F_j];
+        the F- and E-words of a key are in normal form already."""
         f, k, e = key
-        out: dict[Key, QRat] = {}
-        for (f1, k1, e1), c in self._e_times_f(e, j).items():
-            scal = c.shift(-bilinear(self.rs, k, self._wt(f1)))
-            for f2, c2 in self.nf.reduce_word(f + f1).items():
-                add_term(out, (f2, vec_add(k, k1), e1), scal * c2)
+        s = -bilinear(self.rs, k, self.rs.simple(j))
+        out = {(f2, k, e): c.shift(s) for f2, c in self.nf.reduce_word(f + (j,)).items()}
+        for (k1, e1), c in self._commutator_f(e, j).items():
+            out[(f, vec_add(k, k1), e1)] = c
         return out
 
     def _key_times_ke(self, key: Key, mu: Vec, e2: Word) -> dict[Key, QRat]:
@@ -204,7 +204,7 @@ class UAlgebra:
 # Lusztig symmetries
 
 
-def _divided_power(alg: UAlgebra, gen: UElt, n: int, d: int) -> UElt:
+def _divided_power(gen: UElt, n: int, d: int) -> UElt:
     return (gen ** n).scale(q_factorial(n, d).inverse())
 
 
@@ -236,7 +236,7 @@ def _t_generator(alg: UAlgebra, a: int, kind: str, i: int, inverse: bool) -> UEl
             if s % 2:
                 coef = -coef
             lo, hi = (r - s, s) if flip else (s, r - s)
-            term = _divided_power(alg, ga, lo, da) * gen(i) * _divided_power(alg, ga, hi, da)
+            term = _divided_power(ga, lo, da) * gen(i) * _divided_power(ga, hi, da)
             out = out + term.scale(coef)
     alg._t_images[key] = out
     return out
@@ -296,11 +296,11 @@ def _f_free_times_t_ea(alg: UAlgebra, y: UElt, a: int, inverse: bool) -> UElt:
     """The F-free terms of y * T_a(E_a) (or T_a^-1(E_a)), for F-free y.
 
     That image is one term g F_a K_mu: -F_a K_a, or -K_a^-1 F_a =
-    -q^(alpha_a, alpha_a) F_a K_a^-1.  For a term K_k E_e of y, the
-    F-free terms of E_e F_a are the K_(+-alpha_a) E_e1 of the cached
-    _e_times_f, with wt e1 = wt e - alpha_a, and K_mu moves left past
-    E_e1 as q^-(mu, wt e1).  So each term of y costs one shift, and no
-    F-term of E_e F_a is multiplied out.
+    -q^(alpha_a, alpha_a) F_a K_a^-1.  For a term K_k E_e of y, E_e F_a =
+    F_a E_e + [E_e, F_a], and the F-free commutator is the terms
+    K_(+-alpha_a) E_e1 of the cached _commutator_f, with wt e1 = wt e -
+    alpha_a; K_mu moves left past E_e1 as q^-(mu, wt e1).  So each term
+    of y costs one shift, and the F-term F_a E_e is never written.
     """
     rs = alg.rs
     ((_, mu, _), g), = _t_generator(alg, a, "E", a, inverse).terms.items()
@@ -308,9 +308,8 @@ def _f_free_times_t_ea(alg: UAlgebra, y: UElt, a: int, inverse: bool) -> UElt:
     for (_, k, e), c in y.terms.items():
         cs = (c * g).shift(-bilinear(rs, mu, vec_sub(alg._wt(e), rs.simple(a))))
         kmu = vec_add(k, mu)
-        for (f1, k1, e1), c1 in alg._e_times_f(e, a).items():
-            if not f1:
-                add_term(out, ((), vec_add(kmu, k1), e1), c1 * cs)
+        for (k1, e1), c1 in alg._commutator_f(e, a).items():
+            add_term(out, ((), vec_add(kmu, k1), e1), c1 * cs)
     return UElt(alg, out)
 
 
@@ -320,8 +319,8 @@ def _image_stays_in_plus(alg: UAlgebra, a: int, x: UElt, inverse: bool) -> bool:
     mu = alpha if inverse else vec_neg(alpha)
     part: dict[Word, QRat] = {}
     for (_, _, e), c in x.terms.items():
-        for (f1, k1, e1), c1 in alg._e_times_f(e, a).items():
-            if not f1 and k1 == mu:
+        for (k1, e1), c1 in alg._commutator_f(e, a).items():
+            if k1 == mu:
                 add_term(part, e1, c * c1)
     return not part
 
@@ -341,17 +340,17 @@ def lusztig_T(alg: UAlgebra, a: int, x: UElt, inverse: bool = False) -> UElt:
       the F-free terms of x y are those of x' y, with x' the F-free terms
       of x, and the F-free terms of an E-word's image are built one letter
       at a time.  An image in U^+ is its own F-free part.
-    - Membership test.  For x in U^+, the F-free terms of x F_a are
-      K_a r(x) + K_a^-1 r'(x), read from the cached _e_times_f.  T_a(x)
+    - Membership test.  For x in U^+, the commutator [x, F_a] is
+      K_a r(x) + K_a^-1 r'(x), read from the cached _commutator_f.  T_a(x)
       lies in U^+ exactly when the K_a^-1 part is zero, and T_a^-1(x)
       exactly when the K_a part is zero (Lusztig, Introduction to Quantum
       Groups, 38.1).
 
     The same table gives the letter a of an E-word: T_a^{+-1}(E_a) is a
     multiple of F_a K_(+-alpha_a), so the F-free terms of (prefix image)
-    times it come from the K-terms of each prefix term times F_a, moved past
-    K_(+-alpha_a) by one shift (_f_free_times_t_ea), and no F-term is
-    built.
+    times it come from the commutator of each prefix term's E-word with
+    F_a, moved past K_(+-alpha_a) by one shift (_f_free_times_t_ea), and no
+    F-term is built.
     """
     alg._check_index(a)
     out: dict[Key, QRat] = {}

@@ -127,6 +127,22 @@ def test_an_empty_word_is_refused(capsys, command):
         assert (code, out, err) == (2, "", "error: empty word\n"), word
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--type", "A1", "--suite", ""], "error: unknown suite ''"),
+        (["verify", "--type", "", "--suite", "weyl"], "error: cannot parse type string ''"),
+        (["roots", "--type", ""], "error: cannot parse type string ''"),
+        (["roots", "--cartan-file", "", "--type", "A2"], "error: cannot read Cartan file "),
+    ],
+)
+def test_an_explicit_empty_flag_is_refused(capsys, argv, message):
+    # an empty value is an error, never the flag's default nor a missing flag
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message), err
+
+
 def test_a_type_string_of_unbounded_rank_exits_2_in_bounded_memory():
     # under a 1.5 GB address-space limit and a timeout, so that a
     # regression fails instead of hanging
@@ -351,6 +367,10 @@ FROZEN = {
         "56e219d44ea7add5ff21b47e8cc3834b94c84a467b4d998412bf9c2b61644aef",
     ("ls", "--type", "G2", "2", "5"):
         "9bc87583e1cf33a5d469540e704cdca44790d8710332f07f5b5c74978f4a9687",
+    ("classify", "--type", "A1", "--word", "all"):
+        "7749ad186741074320040d63ec87b8d3a81391dcaecb0809bcc51f43004c058b",
+    ("strata", "--type", "A1", "--word", "all"):
+        "3da704dccc8c4d7d8976fb48391ddb4064147b6e19556b80098125a668c32690",
 }
 
 
@@ -360,6 +380,18 @@ def test_output_frozen(capsys, argv):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN[argv]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2"])
+def test_classify_and_strata_head_each_word_alike(capsys, label):
+    # the identity's empty word is "-" in both, as in every other TSV field
+    heads = []
+    for command in ("classify", "strata"):
+        code, out, _ = run(capsys, command, "--type", label, "--word", "all")
+        assert code == 0
+        heads.append([ln for ln in out.splitlines() if ln.startswith("# type ")])
+    assert heads[0] == heads[1]
+    assert heads[0][0] == f"# type {label}\tword -"
 
 
 def test_verify_all_builds_one_algebra(capsys, monkeypatch):

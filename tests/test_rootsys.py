@@ -150,6 +150,8 @@ def test_matrix_spec_matches_named():
 def test_invalid_cartan():
     with pytest.raises(InvalidCartan):
         build_root_system("Z9")
+    with pytest.raises(InvalidCartan, match="cannot parse type string ''"):
+        build_root_system("")
     with pytest.raises(InvalidCartan):
         build_root_system("Aq")
     with pytest.raises(InvalidCartan):

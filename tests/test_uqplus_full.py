@@ -8,10 +8,10 @@ import pytest
 
 from qborel.coeffs import ONE, from_int, qpow
 from qborel.rootsys import bilinear, build_root_system, reflect, vec_add, vec_neg
-from qborel.uqplus.free import FreeElt, serre_relation
+from qborel.uqplus.free import FreeElt, serre_relation, word_weight
 from qborel.uqplus import full
 from qborel.uqplus.full import UAlgebra, UElt, lusztig_T, root_vectors
-from qborel.uqplus.linalg import add_scaled
+from qborel.uqplus.linalg import add_scaled, add_term
 from qborel.weyl import ReducedWord, all_reduced_words, canonical_word, weyl_group
 
 A2 = build_root_system("A2")
@@ -337,6 +337,44 @@ def test_f_free_step_matches_the_filtered_product(label, h):
     assert checked
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"{elapsed:.1f}s"
+
+
+def _derivation_sum(alg, e, j):
+    """[E_e, F_j] by the derivation rule, summed over the positions p with e_p = j:
+    (q^-(alpha_j, wt e_<p) K_j - q^(alpha_j, wt e_<p) K_j^-1) nf(E_(e_<p e_>p))
+    / (q_j - q_j^-1), keyed by (K-exponent, E-word)."""
+    rs = alg.rs
+    aj = rs.simple(j)
+    denom = (qpow(rs.d[j - 1]) - qpow(-rs.d[j - 1])).inverse()
+    out = {}
+    for p, letter in enumerate(e):
+        if letter != j:
+            continue
+        s = bilinear(rs, aj, word_weight(e[:p], rs.rank))
+        rest = alg.nf.reduce(FreeElt({e[:p] + e[p + 1:]: ONE}))
+        for k, c in ((aj, qpow(-s)), (vec_neg(aj), -qpow(s))):
+            for w, cw in rest.terms.items():
+                add_term(out, (k, w), c * cw * denom)
+    return out
+
+
+@pytest.mark.parametrize("label, h", [("A2", 4), ("B2", 4), ("G2", 4), ("A3", 3)])
+def test_commutator_table_matches_the_derivation_rule(label, h):
+    rs = build_root_system(label)
+    alg = UAlgebra(rs, 20)
+    for e in [()] + _complement_words(alg, h):
+        for j in range(1, rs.rank + 1):
+            assert alg._commutator_f(e, j) == _derivation_sum(alg, e, j), (e, j)
+    # products with F-words and both Lusztig paths fill the same tables
+    x = alg.from_free(FreeElt({w: ONE for w in _complement_words(alg, 2)}))
+    y = alg.F(1) * alg.F(rs.rank) * alg.K(rs.simple(1))
+    lusztig_T(alg, 1, x * y + x)
+    lusztig_T(alg, rs.rank, x, inverse=True)
+    assert any(alg._ef.values())
+    for (e, j), table in alg._ef.items():
+        # each key is (K-exponent, E-word): no F-word
+        assert all(len(k) == rs.rank and isinstance(w, tuple) for k, w in table), (e, j)
+        assert table == _derivation_sum(alg, e, j), (e, j)
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
