@@ -269,10 +269,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     words = _selected_words(cfg)
     reports = [classify(word, cfg.label) for word in words]
     if cfg.fmt == "json":
-        if len(reports) == 1:
-            print(reports[0].to_json())
-        else:
-            print(json.dumps([json.loads(r.to_json()) for r in reports], indent=2))
+        doc = [r.to_json_obj() for r in reports]
+        print(json.dumps(doc[0] if len(doc) == 1 else doc, indent=2))
     else:
         print("".join(r.to_tsv() for r in reports), end="")
     return 0
@@ -320,6 +318,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
+# the root system whose worked examples suite_strata and suite_ls add,
+# however its type string was spelled
+_A2_CARTAN = ((2, -1), (-1, 2))
+
 
 def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list[Check]:
     """Exhaustive stratification checks over the whole Weyl group."""
@@ -361,7 +363,7 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
     ]
     if rs.rank == 2:
         checks.append(Check(f"{label}: rank-2 admissible sets use only the end roots", ends_ok))
-    if label == "A2":
+    if rs.cartan == _A2_CARTAN:
         w0 = _longest_element(rs)
         word = ReducedWord(rs, canonical_word(w0))
         strata = enumerate_strata(word)
@@ -407,7 +409,7 @@ def suite_ls(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list
         Check(f"{label}: ls_relation supported strictly between i and j", shape_ok, f"{n_pairs} pairs"),
         Check(f"{label}: ls_relation terms have weight beta_i + beta_j", weight_ok),
     ]
-    if label == "A2":
+    if rs.cartan == _A2_CARTAN:
         word = ReducedWord(rs, (1, 2, 1))
         checks.append(Check("A2: ls_relation(1,2) vanishes", ls_relation(alg, word, 1, 2).is_zero()))
     return checks

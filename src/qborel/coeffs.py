@@ -677,8 +677,3 @@ def parse(text: str) -> QRat:
         return _parse_laurent(m.group("num")) / _parse_laurent(m.group("den"))
     return _parse_laurent(text)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -3,9 +3,10 @@
 A record keeps its fields in ``__slots__`` and names, in ``_fields``, those
 that take part in ``==``, ``hash`` and ``repr``.  Its ``__init__`` ends with
 one ``self._fill(...)``, which sets the class's own slots in order through
-the slots' own setters, bypassing the raising ``__setattr__``; every later
-assignment or deletion raises AttributeError.  :func:`setters` serves the
-slots that are filled after construction.
+the slots' own setters, bypassing the raising ``__setattr__``; a slot that
+is filled after construction is written once by ``self._set(name, value)``,
+through the same setter.  Every other assignment or deletion raises
+AttributeError.
 
 >>> class Pair(Record):
 ...     __slots__ = _fields = ("a", "b")
@@ -19,7 +20,7 @@ True
 
 from __future__ import annotations
 
-__all__ = ["Record", "setters"]
+__all__ = ["Record"]
 
 
 class Record:
@@ -36,12 +37,16 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = setters(cls)
+        cls._setters = tuple([vars(cls)[f].__set__ for f in cls.__slots__])
 
     def _fill(self, *values) -> None:
         """Set the class's own slots, in ``__slots__`` order, to values."""
         for set_slot, value in zip(self._setters, values):
             set_slot(self, value)
+
+    def _set(self, name: str, value) -> None:
+        """Fill the slot ``name``, left empty at construction, with value."""
+        getattr(self.__class__, name).__set__(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
@@ -64,8 +69,3 @@ class Record:
         args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
         return f"{self.__class__.__qualname__}({args})"
 
-
-def setters(cls, *names: str) -> tuple:
-    """The setters of the named slots of ``cls`` (all its own ``__slots__``
-    when none are named), in that order."""
-    return tuple([vars(cls)[f].__set__ for f in names or cls.__slots__])

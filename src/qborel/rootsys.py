@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import InvalidCartan, NotInPositiveCone
-from .record import Record, setters
+from .record import Record
 
 __all__ = [
     "RootSystem",
@@ -260,7 +260,7 @@ class RootSystem(Record):
                 row = tuple(2 * x // bb for x in pair)
                 table[beta] = row
                 table[vec_neg(beta)] = vec_neg(row)
-            _set_coroots(self, table)
+            self._set("_coroots", table)
         return table
 
     @property
@@ -275,9 +275,6 @@ class RootSystem(Record):
 
     def __repr__(self) -> str:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.pos_roots)})"
-
-
-(_set_coroots,) = setters(RootSystem, "_coroots")
 
 
 def _close_positive_roots(a: list[list[int]], n: int) -> tuple[Vec, ...]:
@@ -353,9 +350,9 @@ def load_cartan_file(path: str) -> RootSystem:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InvalidCartan(f"cannot read Cartan file {path}: {exc.strerror}") from None
+        raise InvalidCartan(f"cannot read Cartan file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
-        raise InvalidCartan(f"Cartan file {path} is not JSON: {exc}") from None
+        raise InvalidCartan(f"Cartan file {path!r} is not JSON: {exc}") from None
     return build_root_system(data)
 
 
@@ -502,18 +499,7 @@ def integer_kernel(rows: list[list[int]], n: int) -> LatticeSubgroup:
 
 def orthogonal_complement_lattice(rs: RootSystem, vectors) -> LatticeSubgroup:
     """Sublattice of the root lattice orthogonal to all given vectors."""
-    vecs = list(vectors)
-    if not vecs:
-        return LatticeSubgroup.from_generators(
-            rs.rank, [[1 if j == i else 0 for j in range(rs.rank)] for i in range(rs.rank)]
-        )
     rows = []
-    for v in vecs:
+    for v in vectors:
         rows.append([bilinear(rs, v, rs.simple(j + 1)) for j in range(rs.rank)])
     return integer_kernel(rows, rs.rank)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

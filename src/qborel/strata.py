@@ -13,7 +13,6 @@ together with the maximal admissible lattice of each stratum.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Optional
 
 from .coeffs import QRat, ZERO
@@ -27,20 +26,19 @@ class ThetaSet(Record):
     """An admissible orthogonal subset of the inversion roots of a word.
 
     indices are 1-based positions into word.roots, strictly increasing.
-    A ThetaSet is a certificate of membership in T^w and carries
-    w = word.element, the selected roots and its image y = w_Theta under
+    A ThetaSet is a certificate of membership in T^w for w = word.element
+    and carries the selected roots and its image y = w_Theta under
     kappa.  It is certified one index at a time by the admissibility step
     of ``extend``; construction folds that step over the indices, from the
     empty set, whose w_Theta is w.  Equality, hashing and ``repr`` use
     ``word`` and ``indices``.
     """
 
-    __slots__ = ("word", "indices", "w", "roots", "y")
+    __slots__ = ("word", "indices", "roots", "y")
     _fields = ("word", "indices")
 
     word: ReducedWord
     indices: tuple[int, ...]
-    w: WeylElt
     roots: tuple[Vec, ...]
     y: WeylElt
 
@@ -50,11 +48,10 @@ class ThetaSet(Record):
             raise ValueError("indices must be strictly increasing")
         if any(not 1 <= i <= len(betas) for i in indices):
             raise ValueError("index out of range for the word")
-        w = word.element
-        th = _certified(word, (), w, (), w)
+        th = _certified(word, (), (), word.element)
         for k in indices:
             th = th.extend(k)
-        self._fill(word, indices, w, th.roots, th.y)
+        self._fill(word, indices, th.roots, th.y)
 
     def extend(self, k: int) -> "ThetaSet":
         """Theta + {k}, for an index k above every index of Theta.
@@ -70,7 +67,7 @@ class ThetaSet(Record):
         betas = self.word.roots
         if not (self.indices[-1] if self.indices else 0) < k <= len(betas):
             raise ValueError(f"index {k} is not above {self.indices} within the word")
-        rs = self.w.rs
+        rs = self.word.rs
         beta = betas[k - 1]
         for other in self.roots:
             if bilinear(rs, other, beta) != 0:
@@ -79,7 +76,7 @@ class ThetaSet(Record):
         indices = self.indices + (k,)
         if y.length != self.y.length - 1:
             raise ValueError(f"subset {indices} fails the length condition")
-        return _certified(self.word, indices, self.w, self.roots + (beta,), y)
+        return _certified(self.word, indices, self.roots + (beta,), y)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -88,10 +85,10 @@ class ThetaSet(Record):
 _new = object.__new__
 
 
-def _certified(word: ReducedWord, indices, w: WeylElt, roots, y: WeylElt) -> ThetaSet:
+def _certified(word: ReducedWord, indices, roots, y: WeylElt) -> ThetaSet:
     """A ThetaSet whose certificate the caller has already checked."""
     th = _new(ThetaSet)
-    th._fill(word, indices, w, roots, y)
+    th._fill(word, indices, roots, y)
     return th
 
 
@@ -193,7 +190,7 @@ def character(stratum: Stratum, f: Optional[Mapping[Vec, QRat]] = None) -> Chara
 
 def max_admissible_lattice(char: CharacterData) -> LatticeSubgroup:
     th = char.stratum.theta
-    return orthogonal_complement_lattice(th.w.rs, th.roots)
+    return orthogonal_complement_lattice(th.word.rs, th.roots)
 
 
 class CoidealTriple(Record):
@@ -274,8 +271,8 @@ class ClassificationReport(Record):
     def __init__(self, type_label, word, rows, bruhat, totals):
         self._fill(type_label, word, rows, bruhat, totals)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_json_obj(self) -> dict:
+        return {
             "type": self.type_label,
             "word": list(self.word),
             "rows": [
@@ -290,7 +287,6 @@ class ClassificationReport(Record):
             "totals": dict(self.totals),
             "bruhat": [list(p) for p in self.bruhat],
         }
-        return json.dumps(doc, indent=2)
 
     def to_tsv(self) -> str:
         lines = [f"# type {self.type_label}\tword {_fmt_word(self.word)}"]

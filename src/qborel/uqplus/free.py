@@ -57,12 +57,6 @@ class FreeElt(TermMap):
                 add_term(out, w1 + w2, c1 * c2)
         return FreeElt(out)
 
-    def __pow__(self, k: int) -> "FreeElt":
-        out = FreeElt.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def weight_components(self, n: int) -> dict[Vec, "FreeElt"]:
         comps: dict[Vec, dict[Word, QRat]] = {}
         for w, c in self.terms.items():

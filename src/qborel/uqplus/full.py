@@ -209,8 +209,6 @@ def _divided_power(gen: UElt, n: int, d: int) -> UElt:
 
 
 def _t_generator(alg: UAlgebra, a: int, kind: str, i: int, inverse: bool) -> UElt:
-    if kind not in ("E", "F"):
-        raise ValueError(f"unknown generator kind {kind!r}")
     zero = alg._zero_vec
     key = (a, inverse, ((), zero, (i,)) if kind == "E" else ((i,), zero, ()))
     cached = alg._t_images.get(key)

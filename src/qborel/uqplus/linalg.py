@@ -111,8 +111,9 @@ class SpanSolver:
 
     def reduce(self, v: dict) -> dict:
         out = dict(v)
-        # rules hold no pivot, so replacing a pivot never brings one back
-        for key in sorted(out, reverse=True):
+        # rules hold no pivot, so replacing a pivot never brings one back,
+        # and one pass over the keys in any order leaves none
+        for key in list(out):
             rule = self.rows.get(key)
             if rule is not None:
                 add_scaled(out, rule, out.pop(key))

@@ -50,7 +50,7 @@ from .errors import (
     NoNonorthogonalPair,
     NotReduced,
 )
-from .record import Record, setters
+from .record import Record
 from .rootsys import RootSystem, Vec, bilinear, reflect, vec_neg
 
 __all__ = [
@@ -133,14 +133,12 @@ class WeylElt(Record):
     _inversions: tuple[Vec, ...] | None
     _products: dict | None
 
-    def __new__(cls, rs: RootSystem, vec: Vec, root: Vec | None = None) -> "WeylElt":
+    def __new__(cls, rs: RootSystem, vec: Vec) -> "WeylElt":
         w = rs._weyl_table.get(vec)
         if w is None:
             if not _in_orbit(rs, vec):
                 raise ValueError(f"{vec} is not in the W-orbit of 2 rho")
             w = _interned(rs, vec)
-        if root is not None and w.root is None:
-            _set_root(w, root)
         return w
 
     def __eq__(self, other) -> bool:
@@ -174,7 +172,7 @@ class WeylElt(Record):
         products = other._products
         if products is None:
             products = {}
-            _set_products(other, products)
+            other._set("_products", products)
         else:
             w = products.get(root)
             if w is not None:
@@ -200,7 +198,7 @@ class WeylElt(Record):
                 letters.append(i + 1)
                 p = _descend(rs, p, i)
             word = tuple(letters)
-            _set_canonical(self, word)
+            self._set("_canonical", word)
         return word
 
     @property
@@ -222,9 +220,6 @@ class WeylElt(Record):
 
 
 _new = object.__new__
-_set_root, _set_canonical, _set_inversions, _set_products = setters(
-    WeylElt, "root", "_canonical", "_inversions", "_products"
-)
 
 
 def _interned(rs: RootSystem, vec: Vec) -> WeylElt:
@@ -296,7 +291,7 @@ def reflection_of_root(rs: RootSystem, beta: Vec) -> WeylElt:
     if t is None:
         t = rs._weyl_table[key] = _interned(rs, reflect(rs, beta, rs.two_rho))
         if t.root is None:
-            _set_root(t, beta)
+            t._set("root", beta)
     return t
 
 
@@ -353,7 +348,7 @@ def inversion_set(w: WeylElt) -> tuple[Vec, ...]:
     if inv is None:
         p = w._pairings
         inv = tuple([beta for beta in w.rs.pos_roots if sum(map(mul, beta, p)) < 0])
-        _set_inversions(w, inv)
+        w._set("_inversions", inv)
     return inv
 
 
@@ -403,11 +398,8 @@ def weyl_group(rs: RootSystem) -> tuple[WeylElt, ...]:
                 frontier.append(nxt)
     elements = (_interned(rs, v) for v in seen)
     group = tuple(sorted(elements, key=lambda w: (w.length, canonical_word(w))))
-    _set_weyl_group(rs, group)
+    rs._set("_weyl_group", group)
     return group
-
-
-_set_weyl_group = setters(RootSystem, "_weyl_group")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,14 @@ def test_span_solver_matches_solve_in_span(seed):
             add_scaled(gen, rule, -ONE)
             assert solve_in_span(seen, gen) is not None
         t = _rand_vec(rng, keys, seen)
+        # the remainder holds no pivot, differs from t by a vector of the
+        # span, and does not depend on the order of t's keys
+        red = solver.reduce(t)
+        assert not pivots & set(red), red
+        gap = dict(t)
+        add_scaled(gap, red, -ONE)
+        assert solve_in_span(seen, gap) is not None
+        assert solver.reduce(dict(reversed(t.items()))) == red
         assert solver.contains(t) == (solve_in_span(seen, t) is not None)
     assert solver.rank <= len(keys)
     assert outcomes == {True, False}

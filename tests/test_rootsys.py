@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,9 @@ def test_load_cartan_file(tmp_path):
     path.write_text(json.dumps([[2, -2], [-1, 2]]))
     rs = load_cartan_file(str(path))
     assert rs.pos_roots == B2.pos_roots
+    path.write_text("[[2, -2], [-1, 2]")
+    with pytest.raises(InvalidCartan, match="^" + re.escape(f"Cartan file {str(path)!r} is not JSON: ")):
+        load_cartan_file(str(path))
 
 
 def test_lattice_hnf_canonical():

@@ -109,7 +109,7 @@ def test_w_theta():
 def test_theta_set_certificates():
     th = theta_set(WORD_A2, (1,))
     assert th.roots == ((1, 0),)
-    assert th.w == W0_A2
+    assert th.word.element == W0_A2
     assert th.y == product_of_reflections(A2, th.roots) * W0_A2
     with pytest.raises(NotOrthogonal):
         theta_set(WORD_A2, (1, 2))
@@ -205,7 +205,7 @@ def test_classify_report():
     rep2 = classify(ReducedWord(A2, (2, 1, 2)), label="A2")
     assert rep.rows == rep2.rows
     assert rep.bruhat == rep2.bruhat
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_json_obj()))
     assert set(doc) == {"type", "word", "rows", "totals", "bruhat"}
     assert doc["rows"][0]["dim"] == 0
     tsv = rep.to_tsv()
@@ -236,7 +236,7 @@ def test_w_theta_once_per_member(monkeypatch):
     def spy(self, k):
         th = real(self, k)
         calls.append(th.indices)
-        assert th.y == product_of_reflections(th.w.rs, th.roots) * th.w
+        assert th.y == product_of_reflections(th.word.rs, th.roots) * th.word.element
         return th
 
     monkeypatch.setattr(ThetaSet, "extend", spy)
