@@ -369,11 +369,11 @@ def suite_strata(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> 
         strata = enumerate_strata(word)
         dims = sorted(st.dim for st in strata)
         images = {canonical_word(st.y) for st in strata}
-        checks.append(Check("A2: w0 has exactly 3 strata", len(strata) == 3, f"found {len(strata)}"))
-        checks.append(Check("A2: w0 stratum dimensions are 0,1,1", dims == [0, 1, 1]))
+        checks.append(Check(f"{label}: w0 has exactly 3 strata", len(strata) == 3, f"found {len(strata)}"))
+        checks.append(Check(f"{label}: w0 stratum dimensions are 0,1,1", dims == [0, 1, 1]))
         checks.append(
             Check(
-                "A2: W^{w0} = {w0, s2 s1, s1 s2}",
+                f"{label}: W^{{w0}} = {{w0, s2 s1, s1 s2}}",
                 images == {(1, 2, 1), (2, 1), (1, 2)},
             )
         )
@@ -411,7 +411,7 @@ def suite_ls(rs: RootSystem, label: str, alg: Optional[UAlgebra] = None) -> list
     ]
     if rs.cartan == _A2_CARTAN:
         word = ReducedWord(rs, (1, 2, 1))
-        checks.append(Check("A2: ls_relation(1,2) vanishes", ls_relation(alg, word, 1, 2).is_zero()))
+        checks.append(Check(f"{label}: ls_relation(1,2) vanishes", ls_relation(alg, word, 1, 2).is_zero()))
     return checks
 
 

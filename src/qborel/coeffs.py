@@ -56,6 +56,16 @@ paths that applies.
 The gcd is primitive with positive leading coefficient, hence unique, so
 the canonical form does not depend on the path that found it.
 
+Two bounded memos (``functools.lru_cache``, ``_MEMO_SIZE`` = 4096 entries
+each, least recently used first out) sit under this arithmetic: one on the
+product of two polynomials of which neither is 0 or 1, and one on
+``_gcd_cofactors``, which :meth:`QRat.make`, ``+`` and ``*`` call through
+``_gcd_cofactors_memo``.  The kernel draws its coefficients from a small
+set, so most products and gcds repeat an operand pair already seen.  Keys
+and values are tuples of ints, with no root system, algebra or QRat in
+them, so a process-wide memo keeps nothing else alive; both functions are
+pure, and a hit returns the immutable tuple the computation returned.
+
 The module also provides the balanced q-integers
 
     [n]_d = (q^(d*n) - q^(-d*n)) / (q^d - q^(-d))
@@ -72,6 +82,7 @@ in q (a property the tests pin down).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import DivisionByZero
@@ -110,13 +121,23 @@ def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _pnorm(out)
 
 
+# entries per memo of the two polynomial primitives below
+_MEMO_SIZE = 4096
+
+
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # the shortcuts cost less than hashing both operands
     if not a or not b:
         return ()
     if a == (1,):
         return b
     if b == (1,):
         return a
+    return _pmul_memo(a, b)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pmul_memo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -227,6 +248,11 @@ def _gcd_cofactors(
     return g, _pquo(a, g), _pquo(b, g)
 
 
+# QRat arithmetic calls the memo; _gcd_cofactors itself stays uncached, so a
+# caller that patches its helpers sees every call whatever ran before
+_gcd_cofactors_memo = lru_cache(maxsize=_MEMO_SIZE)(_gcd_cofactors)
+
+
 def _peval(a: tuple[int, ...], x: int) -> int:
     v = 0
     for c in reversed(a):
@@ -324,7 +350,7 @@ class QRat:
             return ZERO
         num, pn = _pprim(num)
         den, pd = _pprim(den)
-        _, num, den = _gcd_cofactors(num, den)
+        _, num, den = _gcd_cofactors_memo(num, den)
         cn, cd = c.numerator * pn, c.denominator * pd
         if cd < 0:
             cn, cd = -cn, -cd
@@ -377,7 +403,7 @@ class QRat:
                 num = _padd(_pscale(an, ia), _pscale(bn, ib))
                 den = ad
             else:
-                _, da, db = _gcd_cofactors(ad, bd)
+                _, da, db = _gcd_cofactors_memo(ad, bd)
                 num = _padd(_pscale(_pmul(an, db), ia), _pscale(_pmul(bn, da), ib))
                 den = _pmul(ad, db)
             if not num:
@@ -385,7 +411,7 @@ class QRat:
             # den is a product of primitive positive-leading factors, so only
             # num needs its content split off
             num, cn = _pprim(num)
-            _, num, den = _gcd_cofactors(num, den)
+            _, num, den = _gcd_cofactors_memo(num, den)
         g = gcd(cn, l)
         return _qrat(cn // g, l // g, num, den)
 
@@ -428,8 +454,8 @@ class QRat:
                 num = num[d:]
                 k -= d
             return _qrat(cn, cd, num, (0,) * k + (1,))
-        _, n1, d2 = _gcd_cofactors(an, bd)
-        _, n2, d1 = _gcd_cofactors(bn, ad)
+        _, n1, d2 = _gcd_cofactors_memo(an, bd)
+        _, n2, d1 = _gcd_cofactors_memo(bn, ad)
         return _qrat(cn, cd, _pmul(n1, n2), _pmul(d1, d2))
 
     def shift(self, k: int) -> "QRat":

@@ -156,6 +156,10 @@ def test_a2_checks_do_not_depend_on_the_spelling_of_the_type(capsys, suite, coun
         code, out, _ = run(capsys, "verify", "--type", label, "--suite", suite)
         assert code == 0
         assert out.splitlines()[-1] == f"# suite {suite} on {label}: {count}/{count} checks passed"
+        # every check line, the worked A2 examples too, names the run's label
+        checks = out.splitlines()[:-1]
+        assert len(checks) == count
+        assert all(line.startswith(f"PASS {label}: ") for line in checks), out
 
 
 def test_a_type_string_of_unbounded_rank_exits_2_in_bounded_memory():

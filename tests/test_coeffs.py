@@ -388,6 +388,85 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
     assert x.render() == "(q - 1)/(q^2 - q + 1)"
 
 
+def _random_primitive(rng):
+    # a nonzero primitive polynomial with positive leading coefficient
+    while True:
+        a = _strip(rng.randint(-6, 6) for _ in range(rng.randint(1, 9)))
+        if a and a != (1,):
+            return _primitive(a)
+
+
+def test_memos_equal_the_uncached_functions():
+    import random
+
+    from qborel import coeffs
+
+    rng = random.Random(20261021)
+    pairs = _cyclotomic_pairs(20261021, 300)
+    pairs += [(_random_primitive(rng), _random_primitive(rng)) for _ in range(300)]
+    memos = (coeffs._gcd_cofactors_memo, coeffs._pmul_memo)
+    hits = [memo.cache_info().hits for memo in memos]
+    # each pair twice, so that the second call is a hit
+    for _ in range(2):
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                assert coeffs._gcd_cofactors_memo(x, y) == coeffs._gcd_cofactors(x, y), (x, y)
+                assert coeffs._pmul(x, y) == _mul(x, y), (x, y)
+                assert coeffs._pmul_memo(x, y) == coeffs._pmul_memo.__wrapped__(x, y), (x, y)
+    for memo, before in zip(memos, hits):
+        assert memo.cache_info().hits - before >= 2 * len(pairs)
+
+
+def test_memos_stay_within_their_bound():
+    from qborel import coeffs
+
+    bound = coeffs._MEMO_SIZE
+    for k in range(bound + 500):
+        a = (k + 2, 1)  # a distinct primitive operand for each k
+        assert coeffs._pmul(a, (1, 1)) == (k + 2, k + 3, 1)
+        assert coeffs._gcd_cofactors_memo(a, (1, 1)) == ((1,), a, (1, 1))
+    for memo in (coeffs._pmul_memo, coeffs._gcd_cofactors_memo):
+        info = memo.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound, info
+
+
+def test_memos_do_not_change_any_canonical_form(monkeypatch):
+    from qborel import coeffs
+
+    q = qpow(1)
+    values = _differential_values() + [
+        parse("(q^2 - 1)/(q^3 + 1)"),
+        q_binomial(5, 2),
+        ONE / (q_integer(3) + q_integer(2, 2)),
+        (q * q + q + ONE) / (q * q - ONE),
+        from_fraction(Fraction(-3, 7)) / (q + from_int(2)),
+    ]
+    pairs = [(x, y) for x in values for y in values]
+
+    def layouts(order):
+        out = {}
+        for k in order:
+            x, y = pairs[k]
+            out[k] = (_layout(x * y), _layout(x + y), _layout(x - y))
+        return out
+
+    forward, backward = list(range(len(pairs))), list(reversed(range(len(pairs))))
+    runs = []
+    for order in (forward, backward):
+        coeffs._pmul_memo.cache_clear()
+        coeffs._gcd_cofactors_memo.cache_clear()
+        runs.append(layouts(order))  # from a cleared memo
+        runs.append(layouts(order))  # from a warm one
+    # the reference bypasses both memos
+    monkeypatch.setattr(coeffs, "_pmul_memo", coeffs._pmul_memo.__wrapped__)
+    monkeypatch.setattr(coeffs, "_gcd_cofactors_memo", coeffs._gcd_cofactors)
+    want = layouts(forward)
+    assert all(run == want for run in runs)
+    # many products keep a denominator other than a q-power: the gcd path
+    assert sum(any(product[3][:-1]) for product, _, _ in want.values()) > 50
+
+
 def test_shift_is_multiplication_by_a_q_power():
     q = qpow(1)
     cyclo = q * q + q + ONE
