@@ -344,7 +344,7 @@ def build_root_system(spec) -> RootSystem:
 def load_cartan_file(path: str) -> RootSystem:
     """Read a JSON integer matrix from ``path`` and build the root system.
 
-    An unreadable file or one that is not JSON raises InvalidCartan.
+    An unreadable file, or one that is not a JSON list, raises InvalidCartan.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -353,6 +353,8 @@ def load_cartan_file(path: str) -> RootSystem:
         raise InvalidCartan(f"cannot read Cartan file {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise InvalidCartan(f"Cartan file {path!r} is not JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise InvalidCartan(f"Cartan file {path!r} does not hold a JSON list of rows")
     return build_root_system(data)
 
 

@@ -26,7 +26,7 @@ from ..rootsys import Vec, bilinear
 from ..weyl import ReducedWord
 from .free import FreeElt, Word
 from .full import UAlgebra, UElt, root_vectors
-from .linalg import add_scaled, add_term, solve_in_span
+from .linalg import add_scaled, solve_in_span
 
 Expt = tuple[int, ...]
 
@@ -263,21 +263,21 @@ def _theta_supported(a: Expt, S) -> bool:
     return all(e == 0 or k + 1 in S for k, e in enumerate(a))
 
 
-def _theta_residual(alg: UAlgebra, word: ReducedWord, i: int, j: int, S) -> dict:
-    """The theta-supported part of E_{beta_i}E_{beta_j} - E_{beta_j}E_{beta_i}.
+def _commutes_on(alg: UAlgebra, word: ReducedWord, i: int, j: int, S, f=None) -> bool:
+    """Whether E_{beta_i}E_{beta_j} - E_{beta_j}E_{beta_i} is killed by sending
+    E_{beta_k} to f_k (free when f is None) for k in S and to 0 otherwise.
 
-    The commutator is ls_relation(i, j) plus (q^(beta_i,beta_j) - 1)
-    E_{beta_j}E_{beta_i}.  A character supported on S, and the quotient by
-    the root vectors outside S, send every other monomial to zero, so
-    they respect the commutator exactly when this part vanishes there.
+    It is ls_relation(i, j) plus (q^(beta_i,beta_j) - 1)E^(e_i + e_j), and
+    the relation lies strictly between i and j (suite_ls checks it), so
+    the pair term never cancels against it: with free values the pair
+    commutes exactly when the pair term is absent or zero and no term of
+    the relation is supported on S; with values f, when the sum at f is 0.
     """
-    rel = ls_relation(alg, word, i, j)
-    resid = {a: c for a, c in rel.terms.items() if _theta_supported(a, S)}
-    if i in S and j in S:
-        pair = bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1])
-        key = tuple((1 if p in (i, j) else 0) for p in range(1, len(word.letters) + 1))
-        add_term(resid, key, qpow(pair) - ONE)
-    return resid
+    rel = ls_relation(alg, word, i, j).terms
+    pair = bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1]) if i in S and j in S else 0
+    if f is None:
+        return not pair and not any(_theta_supported(a, S) for a in rel)
+    return _eval_terms(rel, f) == ((ONE - qpow(pair)) * f[i] * f[j] if pair else ZERO)
 
 
 def _eval_terms(terms: dict, values: dict) -> QRat:
@@ -318,7 +318,9 @@ def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
     theta is a set of 1-based positions, not required to be admissible.
     f maps positions to nonzero values; None keeps the values as free
     parameters and decides the identity symbolically, which is the
-    right notion for the all-nonzero-values dichotomy.
+    right notion for the all-nonzero-values dichotomy.  _commutes_on tests
+    each pair on its LS relation as kept: the pair term E^(e_i + e_j)
+    cannot cancel, as every term of the relation is 0 at i and at j.
     """
     t = len(word.letters)
     S = set(theta)
@@ -328,12 +330,8 @@ def char_well_defined(alg: UAlgebra, word: ReducedWord, theta, f=None) -> bool:
         f = {k: f[k] for k in S}
         if any(v == ZERO for v in f.values()):
             raise ValueError("character values must be nonzero")
-    for i, j in combinations(range(1, t + 1), 2):
-        resid = _theta_residual(alg, word, i, j, S)
-        holds = not resid if f is None else _eval_terms(resid, f) == ZERO
-        if not holds:
-            return False
-    return True
+    pairs = combinations(range(1, t + 1), 2)
+    return all(_commutes_on(alg, word, i, j, S, f) for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +364,8 @@ def quotient_is_commutative_polynomial(alg: UAlgebra, word: ReducedWord, theta) 
     a commutative polynomial ring on the classes of the theta ones.
 
     Two honest conditions.  The classes must commute: the theta-
-    supported part of E_i E_j - E_j E_i must vanish, since everything
-    else already sits inside the ideal.  The classes must stay free,
+    supported part of E_i E_j - E_j E_i must vanish (_commutes_on), as
+    the rest already sits inside the ideal.  The classes must stay free,
     and that needs no elimination.  Let T be the theta-supported PBW
     monomials and M the others, each of which has an outside factor.
     U_mu = span T_mu (+) span M_mu and M_mu lies in I_mu, so
@@ -382,13 +380,12 @@ def quotient_is_commutative_polynomial(alg: UAlgebra, word: ReducedWord, theta) 
     check.
     """
     t = len(word.letters)
-    S = sorted(set(theta))
+    S = set(theta)
     if any(not 1 <= k <= t for k in S):
         raise BadIndex("theta positions out of range")
     data = pbw_data(alg, word)
-    for i, j in combinations(S, 2):
-        if _theta_residual(alg, word, i, j, S):
-            return False
+    if not all(_commutes_on(alg, word, i, j, S) for i, j in combinations(sorted(S), 2)):
+        return False
     for mu in _theta_cone(data, S, alg.nf.height_bound):
         for k in range(1, t + 1):
             sub = tuple(a - b for a, b in zip(mu, data.roots[k - 1]))

@@ -277,8 +277,9 @@ def test_cartan_file(tmp_path, capsys):
         '{"cartan": [[2, -1], [-1, 2]]}',
         '[["2", "-1"], ["-1", "2"]]',
         "[[2, -1.7], [-1, 2]]",
+        '"A2"',
     ],
-    ids=["missing", "not-json", "object", "string-entries", "float-entry"],
+    ids=["missing", "not-json", "object", "string-entries", "float-entry", "type-string"],
 )
 def test_bad_cartan_file_is_usage_error(tmp_path, capsys, content):
     p = tmp_path / "cartan.json"

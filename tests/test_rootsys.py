@@ -341,6 +341,10 @@ def test_load_cartan_file(tmp_path):
     path.write_text("[[2, -2], [-1, 2]")
     with pytest.raises(InvalidCartan, match="^" + re.escape(f"Cartan file {str(path)!r} is not JSON: ")):
         load_cartan_file(str(path))
+    # a JSON string is no matrix, not even the name of a type
+    path.write_text('"A2"')
+    with pytest.raises(InvalidCartan, match="^" + re.escape(f"Cartan file {str(path)!r} does not hold")):
+        load_cartan_file(str(path))
 
 
 def test_lattice_hnf_canonical():

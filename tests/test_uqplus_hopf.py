@@ -519,3 +519,30 @@ def test_twist_rows_leak_no_character_value(label):
                 assert [x.terms for x in got] == [x.terms for x in want], (word.letters, phi)
                 n_calls += 1
     assert n_calls > 10
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_twist_generators_lie_in_one_k_degree(label):
+    # psi(E_beta) = K_{-beta} E_beta and Delta(K_{-beta}) = K_{-beta} (x) K_{-beta},
+    # so every right key of Delta(psi(E_{beta_i})), and so every term of
+    # g_i, carries K_{-beta_i}.  The exactness of coideal_check modulo L
+    # rests on this, and it leaves span_is_Q_graded one K-degree per
+    # generator on the words and strata of suite_hopf.
+    rs = build_root_system(label)
+    alg = UAlgebra(rs)
+    words = weyl_group(rs) if rs.rank == 2 else [max(weyl_group(rs), key=lambda g: g.length)]
+    n_gens = 0
+    for g in words:
+        word = ReducedWord(rs, canonical_word(g))
+        if any(sum(b) > 4 for b in word.roots):
+            continue
+        for st in enumerate_strata(word):
+            for phi in (ONE, from_int(3) * Q):
+                ch = character(st, {b: phi for b in st.theta.roots})
+                gens = twist_generators(alg, ch, max_admissible_lattice(ch))
+                for beta, x in zip(word.roots, gens):
+                    assert x.terms, (word.letters, st.theta.indices)
+                    assert {mu for _, mu, _ in x.terms} == {vec_neg(beta)}, (word.letters, beta)
+                    n_gens += 1
+    # 25, 52, 25 and 30 generators per character value
+    assert n_gens == {"A2": 50, "B2": 104, "G2": 50, "A3": 60}[label], n_gens

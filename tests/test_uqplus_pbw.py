@@ -5,14 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from qborel.coeffs import ONE, ZERO, parse, qpow
+from qborel.coeffs import ONE, ZERO, from_int, parse, qpow
 from qborel.errors import BadIndex, HeightOverflow, NotInSubalgebra
 from qborel.rootsys import bilinear, build_root_system
 from qborel.strata import Stratum, character, enumerate_Tw, theta_set
 from qborel.uqplus.free import FreeElt, kostant_dim
 from qborel.uqplus.full import UAlgebra, lusztig_T
 from qborel.uqplus import pbw as pbw_module
-from qborel.uqplus.linalg import SpanSolver
+from qborel.uqplus.linalg import SpanSolver, add_term
 from qborel.uqplus.pbw import (
     char_eval,
     char_well_defined,
@@ -246,6 +246,118 @@ def test_char_eval():
     ch = character(st, {st.theta.roots[0]: ONE})
     assert char_eval(ch, pbw_expand(ALG_A, W0_A, FreeElt.gen(1))) == ONE
     assert char_eval(ch, ls_relation(ALG_A, W0_A, 1, 3)) == ZERO
+
+
+def _supported(a, S):
+    return all(e == 0 or k in S for k, e in enumerate(a, start=1))
+
+
+def _residual_oracle(alg, word, i, j, S):
+    """The S-supported part of E_{beta_i}E_{beta_j} - E_{beta_j}E_{beta_i}
+    as its own term map: the LS relation filtered to S, plus
+    (q^(beta_i,beta_j) - 1) at E_{beta_j}E_{beta_i} when i, j lie in S."""
+    resid = {a: c for a, c in ls_relation(alg, word, i, j).terms.items() if _supported(a, S)}
+    if i in S and j in S:
+        key = tuple(int(p in (i, j)) for p in range(1, len(word.letters) + 1))
+        pair = bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1])
+        add_term(resid, key, qpow(pair) - ONE)
+    return resid
+
+
+def _evaluate(terms, f):
+    total = ZERO
+    for a, c in terms.items():
+        if _supported(a, f):
+            for k, e in enumerate(a, start=1):
+                c = c * f[k] ** e if e else c
+            total = total + c
+    return total
+
+
+def _char_oracle(alg, word, S, f=None):
+    for i, j in combinations(range(1, len(word.letters) + 1), 2):
+        resid = _residual_oracle(alg, word, i, j, S)
+        if resid if f is None else _evaluate(resid, f) != ZERO:
+            return False
+    return True
+
+
+def _quotient_oracle(alg, word, S):
+    """Commutation on the residual maps; freeness by the closure test over
+    the columns of the ideal, each read against S."""
+    if any(_residual_oracle(alg, word, i, j, S) for i, j in combinations(sorted(S), 2)):
+        return False
+    data = pbw_data(alg, word)
+    for mu in pbw_module._theta_cone(data, S, alg.nf.height_bound):
+        for k, beta in enumerate(data.roots, start=1):
+            sub = tuple(a - b for a, b in zip(mu, beta))
+            if min(sub) < 0:
+                continue
+            for a in data.exponents_of_weight(sub):
+                if not (k in S and _supported(a, S)):
+                    if any(_supported(b, S) for b in data.left_mult_column(k, a)):
+                        return False
+    return True
+
+
+def _random_value(rng):
+    """A nonzero Laurent polynomial: its two terms have distinct q-powers."""
+    lead = from_int(rng.choice([-3, -2, -1, 1, 2, 3])) * qpow(rng.randint(-2, 2))
+    return lead + from_int(rng.randint(-2, 2)) * qpow(rng.randint(3, 4))
+
+
+def _differential_words():
+    for label in ["A2", "B2", "G2"]:
+        rs = build_root_system(label)
+        alg = UAlgebra(rs)
+        for g in sorted(weyl_group(rs), key=lambda g: g.length):
+            yield alg, ReducedWord(rs, canonical_word(g))
+    for label in ["A3", "B3"]:
+        rs = build_root_system(label)
+        yield UAlgebra(rs), _longest_word(rs)
+
+
+def test_characters_and_quotients_match_the_residual_oracle():
+    # the verdicts read off the LS relations as kept against the
+    # residual of each pair built as a term map, on every subset
+    rng = random.Random(33)
+    n_true = {"free": 0, "random": 0, "one": 0, "quotient": 0}
+    for alg, word in _differential_words():
+        t = len(word.letters)
+        for size in range(t + 1):
+            for S in combinations(range(1, t + 1), size):
+                for kind, f in [
+                    ("free", None),
+                    ("random", {k: _random_value(rng) for k in S}),
+                    ("one", {k: ONE for k in S}),
+                ]:
+                    got = char_well_defined(alg, word, S, f)
+                    assert got == _char_oracle(alg, word, set(S), f), (word.letters, S, kind)
+                    n_true[kind] += got
+                if alg.rs.rank == 2:
+                    got = quotient_is_commutative_polynomial(alg, word, S)
+                    assert got == _quotient_oracle(alg, word, set(S)), (word.letters, S)
+                    n_true["quotient"] += got
+    assert min(n_true.values()) > 20, n_true
+
+
+def test_values_that_solve_a_pair_match_the_residual_oracle():
+    # where E_{beta_k} is a term c E_{beta_k} of ls_relation(i, j), it is
+    # the relation's one term on S = {i, j, k}, and f_i = f_j = 1 with
+    # f_k = (1 - q^(beta_i,beta_j)) / c cancels the pair term against it
+    n_solved = 0
+    for alg, word in _differential_words():
+        for i, j in combinations(range(1, len(word.letters) + 1), 2):
+            pair = bilinear(alg.rs, word.roots[i - 1], word.roots[j - 1])
+            for a, c in ls_relation(alg, word, i, j).terms.items():
+                if sum(a) != 1 or pair == 0:
+                    continue
+                S = {i, j, a.index(1) + 1}
+                f = {i: ONE, j: ONE, a.index(1) + 1: (ONE - qpow(pair)) / c}
+                want = _evaluate(_residual_oracle(alg, word, i, j, S), f) == ZERO
+                assert pbw_module._commutes_on(alg, word, i, j, S, f) == want, (word.letters, i, j)
+                n_solved += want
+    assert n_solved > 10, n_solved
 
 
 def test_quotient_a2_examples():
