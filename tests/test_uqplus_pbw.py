@@ -277,7 +277,8 @@ def _evaluate(terms, f):
 def _char_oracle(alg, word, S, f=None):
     for i, j in combinations(range(1, len(word.letters) + 1), 2):
         resid = _residual_oracle(alg, word, i, j, S)
-        if resid if f is None else _evaluate(resid, f) != ZERO:
+        holds = not resid if f is None else _evaluate(resid, f) == ZERO
+        if not holds:
             return False
     return True
 
@@ -352,8 +353,9 @@ def test_values_that_solve_a_pair_match_the_residual_oracle():
             for a, c in ls_relation(alg, word, i, j).terms.items():
                 if sum(a) != 1 or pair == 0:
                     continue
-                S = {i, j, a.index(1) + 1}
-                f = {i: ONE, j: ONE, a.index(1) + 1: (ONE - qpow(pair)) / c}
+                k = a.index(1) + 1
+                S = {i, j, k}
+                f = {i: ONE, j: ONE, k: (ONE - qpow(pair)) / c}
                 want = _evaluate(_residual_oracle(alg, word, i, j, S), f) == ZERO
                 assert pbw_module._commutes_on(alg, word, i, j, S, f) == want, (word.letters, i, j)
                 n_solved += want
