@@ -791,25 +791,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("roots", parents=[common], help="positive roots of the type")
-    p.set_defaults(func=lambda a: cmd_roots(_config(a)))
+    p.set_defaults(func=lambda cfg, a: cmd_roots(cfg))
 
     p = sub.add_parser("weyl", parents=[common, wordful], help="Weyl group data")
-    p.set_defaults(func=lambda a: cmd_weyl(_config(a)))
+    p.set_defaults(func=lambda cfg, a: cmd_weyl(cfg))
 
     p = sub.add_parser("strata", parents=[common, wordful], help="admissible sets and strata")
-    p.set_defaults(func=lambda a: cmd_strata(_config(a)))
+    p.set_defaults(func=lambda cfg, a: cmd_strata(cfg))
 
     p = sub.add_parser("classify", parents=[common, wordful], help="full classification table")
-    p.set_defaults(func=lambda a: cmd_classify(_config(a)))
+    p.set_defaults(func=lambda cfg, a: cmd_classify(cfg))
 
     p = sub.add_parser("ls", parents=[common, wordful], help="straightening relation i<j")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
-    p.set_defaults(func=lambda a: cmd_ls(_config(a), a.i, a.j))
+    p.set_defaults(func=lambda cfg, a: cmd_ls(cfg, a.i, a.j))
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or all")
-    p.set_defaults(func=lambda a: cmd_verify(_config(a)))
+    p.set_defaults(func=lambda cfg, a: cmd_verify(cfg))
 
     return parser
 
@@ -824,7 +824,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        # one RunConfig per run: a Cartan file on a pipe can be read only once
+        cfg = _config(args)
+        return args.func(cfg, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -835,10 +837,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HeightOverflow as exc:
-        if getattr(args, "height", None) is None:
+        # raised by the algebra, so after cfg was built
+        if cfg.height is None:
             print(f"error: {exc}", file=sys.stderr)
         else:
-            default = NFContext(_config(args).rs).height_bound
+            default = NFContext(cfg.rs).height_bound
             print(f"error: {exc}; omit --height to use the default {default}", file=sys.stderr)
         return 2
     except QBorelError as exc:

@@ -13,7 +13,7 @@ together with the maximal admissible lattice of each stratum.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .coeffs import QRat, ZERO
 from .errors import NotInWw, NotOrthogonal
@@ -25,7 +25,8 @@ from .weyl import ReducedWord, WeylElt, bruhat_le, canonical_word, reflection_of
 class ThetaSet(Record):
     """An admissible orthogonal subset of the inversion roots of a word.
 
-    indices are 1-based positions into word.roots, strictly increasing.
+    indices are 1-based positions into word.roots, strictly increasing,
+    given as any iterable and kept as a tuple.
     A ThetaSet is a certificate of membership in T^w for w = word.element
     and carries the selected roots and its image y = w_Theta under
     kappa.  It is certified one index at a time by the admissibility step
@@ -42,7 +43,8 @@ class ThetaSet(Record):
     roots: tuple[Vec, ...]
     y: WeylElt
 
-    def __init__(self, word: ReducedWord, indices: tuple[int, ...]):
+    def __init__(self, word: ReducedWord, indices: Iterable[int]):
+        indices = tuple(indices)
         betas = word.roots
         if indices != tuple(sorted(set(indices))):
             raise ValueError("indices must be strictly increasing")

@@ -9,7 +9,6 @@ from .hopf import (
     check_graded_compatibility,
     coideal_check,
     coproduct,
-    counit,
     psi_apply,
     span_is_Q_graded,
     twist_generators,
@@ -47,7 +46,6 @@ __all__ = [
     "enumerate_polynomial_ideals",
     "TensorElt",
     "coproduct",
-    "counit",
     "check_counit_law",
     "check_coassociativity",
     "check_graded_compatibility",

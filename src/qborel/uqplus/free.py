@@ -185,9 +185,17 @@ class NFContext:
             )
 
     def component(self, mu: Vec) -> _WeightComponent:
-        self.check_height(mu)
+        """The component at weight mu, built on first use.  As in
+        kostant_dim, a weight whose length is not the rank raises
+        ValueError, and one with a negative entry is empty and not kept.
+        Every check runs on a miss only: a kept weight passed them all."""
         comp = self._components.get(mu)
         if comp is None:
+            if len(mu) != self.rs.rank:
+                raise ValueError(f"weight {mu} does not have rank {self.rs.rank} entries")
+            if min(mu) < 0:
+                return _WeightComponent({}, ())
+            self.check_height(mu)
             comp = self._build_component(mu)
             self._components[mu] = comp
         return comp

@@ -98,9 +98,7 @@ class UAlgebra:
         self._root_vectors: dict[Word, tuple[UElt, ...]] = {}  # word letters -> its root vectors
         self._pbw: dict = {}  # word letters -> pbw._PBWData
         self._delta_cache: dict = {}  # E-word -> term map of its coproduct
-        # (generators, height) -> hopf._GeneratedSpan, last one only; the span
-        # grows by height as its queries need, so a kept span may stop below h
-        self._span_cache: dict = {}
+        # no coideal span is kept here: each hopf check builds the span it queries
 
     # -- constructors ------------------------------------------------------
 

@@ -6,7 +6,7 @@ normal form, so equality of TensorElts is equality of term maps.
 
 from __future__ import annotations
 
-from ..coeffs import QRat, ZERO, ONE
+from ..coeffs import ZERO, ONE
 from ..errors import (
     HeightOverflow,
     InternalContradiction,
@@ -91,16 +91,6 @@ def coproduct(alg: UAlgebra, x: UElt) -> TensorElt:
         for (k1, e1, k2, e2), d in _delta_word(alg, ew).items():
             add_term(out, (vec_add(k1, mu), e1, vec_add(k2, mu), e2), c * d)
     return TensorElt(alg, out)
-
-
-def counit(alg: UAlgebra, x: UElt) -> QRat:
-    if not x.in_nonneg():
-        raise NotInSubalgebra("counit needs an element with no F-part")
-    total = ZERO
-    for (fw, mu, ew), c in x.terms.items():
-        if not ew:
-            total = total + c
-    return total
 
 
 def check_counit_law(alg: UAlgebra, x: UElt) -> bool:
@@ -254,12 +244,14 @@ class _GeneratedSpan:
     j_1 <= ... <= j_m, whose heights (at least 1 each) sum to at most h.
     Level b holds those of total height exactly b, each with its last
     index, and is built from the levels below it; S_b is the span of
-    levels 0 to b.  in_span adds levels only while its query is outside
-    the span, so an answer True may come from S_b with b < h, and an
-    answer False is given only against S_h.  Both are the answers S_h
-    gives: S_b lies in S_h.  An h above the algebra's height bound is
-    refused here, before any level is built, so no order of queries
-    decides whether it is.
+    levels 0 to b.  Construction builds no level (``level`` reads -1):
+    in_span adds levels, from level 0 up, only while its query is outside
+    the span, so a query never asked costs nothing, an answer True may
+    come from S_b with b < h, and an answer False is given only against
+    S_h.  Both are the answers S_h gives: S_b lies in S_h.  An h above
+    the algebra's height bound is refused here, before any level is
+    built, so no order of queries decides whether it is.  Each check
+    makes the span it queries; none is kept between calls.
 
     S_h lies in the subalgebra C the generators generate, so testing the
     gens alone against it is exact (see coideal_check).  The model is
@@ -307,11 +299,10 @@ class _GeneratedSpan:
         self._span = SpanSolver()
         # levels[b]: (last factor index, product) for each product of height b
         self._levels: list[list[tuple[int, UElt]]] = []
-        self._add_level()
 
     @property
     def level(self) -> int:
-        """The height b of the span S_b built so far."""
+        """The height b of the span S_b built so far; -1 before any level."""
         return len(self._levels) - 1
 
     def _add_level(self) -> None:
@@ -347,18 +338,6 @@ class _GeneratedSpan:
         return not red
 
 
-def _generated_span(alg: UAlgebra, gens: list[UElt], h: int) -> _GeneratedSpan:
-    """The span of gens up to height h, kept on the algebra for the
-    generators it was last asked about."""
-    key = (tuple(gens), h)
-    hit = alg._span_cache.get(key)
-    if hit is None:
-        hit = _GeneratedSpan(alg, gens, h)
-        alg._span_cache.clear()
-        alg._span_cache[key] = hit
-    return hit
-
-
 def _kexp_parts_in_span(sp: _GeneratedSpan, x: UElt) -> bool:
     """Whether each K-degree component of a generator x lies in the span;
     x in a single K-degree passes, being in the span itself."""
@@ -379,19 +358,19 @@ def coideal_check(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     of Delta(g) under each right key must lie in S_h.  Delta is an
     algebra map and C (x) U^{>=0} is a subalgebra, so C is a right
     coideal exactly when Delta(g) lies in C (x) U^{>=0} for each g, and
-    S_h lies in C, so a pass certifies C.  The span grows by height only
-    as the legs need (see _GeneratedSpan): a leg found in S_b for b < h
-    is in S_h, since S_b lies in S_h, so a pass at level b is the same
-    certificate, and a leg is declared outside only once S_h is built,
-    so a fail is still decided on S_h.  The legs under the right key
-    K_mu are the K-degree mu part of g, so a pass also means C is graded
-    by the K-exponent.  The legs under one right key lie in one K-degree,
-    where the model modulo L is exact.  Grouplikes need no test: K_row
-    is 1 modulo L, in the span.  Raises ValueError for a generator spread
-    over several K-degrees next to grouplikes, where that model is not
-    exact.
+    S_h lies in C, so a pass certifies C.  The check makes its own span,
+    which grows by height only as the legs need (see _GeneratedSpan): a
+    leg found in S_b for b < h is in S_h, since S_b lies in S_h, so a
+    pass at level b is the same certificate, and a leg is declared
+    outside only once S_h is built, so a fail is still decided on S_h.
+    The legs under the right key K_mu are the K-degree mu part of g, so
+    a pass also means C is graded by the K-exponent.  The legs under one
+    right key lie in one K-degree, where the model modulo L is exact.
+    Grouplikes need no test: K_row is 1 modulo L, in the span.  Raises
+    ValueError for a generator spread over several K-degrees next to
+    grouplikes, where that model is not exact.
     """
-    sp = _generated_span(alg, gens, h)
+    sp = _GeneratedSpan(alg, gens, h)
     for g in sp.gens:
         grouped: dict = {}
         for (k1, e1, k2, e2), c in coproduct(alg, g).terms.items():
@@ -410,7 +389,10 @@ def span_is_Q_graded(alg: UAlgebra, gens: list[UElt], h: int) -> bool:
     elements are homogeneous; each part is tested against the height-h
     span, which lies in C, and which grows only as far as the parts need
     (a part found in S_b, b < h, is in S_h; a fail is decided on S_h).
-    Tested apart from coideal_check to name the property on its own.
+    A generator in one K-degree is its own part and asks nothing, so on
+    twist generators alone no level of the span is built.  Tested apart
+    from coideal_check, on a span of its own, to name the property on
+    its own.
     """
-    sp = _generated_span(alg, gens, h)
+    sp = _GeneratedSpan(alg, gens, h)
     return all(_kexp_parts_in_span(sp, g) for g in sp.gens)

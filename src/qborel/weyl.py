@@ -42,6 +42,7 @@ of a length-reducing chain.
 from __future__ import annotations
 
 from operator import mul
+from typing import Iterable
 
 from .errors import (
     BadIndex,
@@ -307,8 +308,9 @@ class ReducedWord(Record):
     s_{i_1} ... s_{i_t}, read off the roots: the prefix s_{i_1} ...
     s_{i_{k-1}} sends 2 rho - s_{i_k}(2 rho) = 2 alpha_{i_k} to 2 beta_k, so
     the telescoping sum gives w(2 rho) = 2 rho - 2 (beta_1 + ... + beta_t).
-    A word that is not reduced raises NotReduced.  Equality, hashing and
-    ``repr`` use ``rs`` and ``letters``.
+    A word that is not reduced raises NotReduced.  The letters may come as
+    any iterable and are kept as a tuple.  Equality, hashing and ``repr``
+    use ``rs`` and ``letters``.
     """
 
     __slots__ = ("rs", "letters", "element", "roots")
@@ -319,7 +321,8 @@ class ReducedWord(Record):
     element: WeylElt
     roots: tuple[Vec, ...]
 
-    def __init__(self, rs: RootSystem, letters: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, letters: Iterable[int]):
+        letters = tuple(letters)
         for i in letters:
             if not 1 <= i <= rs.rank:
                 raise NotReduced(f"letter {i} out of range")

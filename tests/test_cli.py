@@ -322,6 +322,26 @@ def test_height_overflow_names_the_default_bound(capsys):
     )
 
 
+def test_height_overflow_reads_a_piped_cartan_file_once():
+    # /dev/stdin can be read only once, so the default height must come
+    # from the root system already built
+    src = os.path.dirname(os.path.dirname(qborel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qborel", "ls", "--cartan-file", "/dev/stdin", "--height", "1", "1", "3"],
+        input="[[2,-1],[-1,2]]\n",
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: weight (1, 1) needs height 2, above the bound 1; omit --height to use the default 4\n"
+    )
+
+
 def test_height_overflow_without_height_names_no_default(capsys, monkeypatch):
     # "omit --height" is advice only for a run that gave --height
     def overflow(rs, label, alg):

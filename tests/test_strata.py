@@ -122,6 +122,20 @@ def test_theta_set_certificates():
         ThetaSet(WORD_A2, (2,))
 
 
+def test_list_input_equals_tuple_input():
+    from qborel.uqplus.full import UAlgebra
+    from qborel.uqplus.pbw import ls_relation
+
+    word = ReducedWord(A2, [1, 2, 1])
+    assert word.letters == (1, 2, 1)
+    assert word == WORD_A2 and hash(word) == hash(WORD_A2)
+    assert ReducedWord(A2, (i for i in (1, 2, 1))) == WORD_A2
+    th = ThetaSet(word, [3])
+    assert th.indices == (3,) and th == ThetaSet(WORD_A2, (3,))
+    alg = UAlgebra(A2)
+    assert ls_relation(alg, word, 1, 3) == ls_relation(alg, WORD_A2, 1, 3)
+
+
 def test_kappa_round_trip():
     tw = enumerate_Tw(WORD_A2)
     for th in tw:

@@ -285,6 +285,24 @@ def test_kostant_table_is_owned_by_its_root_system(monkeypatch):
     assert [kostant_dim(fresh, mu) for mu in weights] == first
 
 
+def test_a_weight_of_the_wrong_length_is_refused():
+    ctx = NFContext(A2)
+    for mu in ((1, 1, 1), (1,)):
+        with pytest.raises(ValueError):
+            ctx.dim_plus(mu)
+        with pytest.raises(ValueError):
+            ctx.complement_basis(mu)
+    assert not ctx._components
+
+
+def test_a_weight_with_a_negative_entry_is_the_empty_component():
+    ctx = NFContext(A2)
+    for mu in ((-1, 2), (2, -1), (-1, 0)):
+        assert ctx.dim_plus(mu) == kostant_dim(A2, mu) == 0
+        assert ctx.complement_basis(mu) == ()
+    assert not ctx._components
+
+
 def test_height_overflow():
     ctx = NFContext(A2, 8)
     with pytest.raises(HeightOverflow):

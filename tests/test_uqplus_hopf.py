@@ -291,20 +291,24 @@ def _span_cases(alg):
 def test_in_span_matches_shift_oracle(monkeypatch, label):
     rs = build_root_system(label)
     alg = ALG if label == "A2" else UAlgebra(rs)
-    asked = []
+    asked, spans = [], []
     real = hopf._GeneratedSpan.in_span
 
     def spy(self, v):
         ans = real(self, v)
         asked.append((v, ans))
+        spans.append(self)
         return ans
 
     monkeypatch.setattr(hopf._GeneratedSpan, "in_span", spy)
     n_queries = n_shifted = n_false = 0
     for gens in _span_cases(alg):
         asked.clear()
+        spans.clear()
         coideal_check(alg, gens, 4)
-        sp = hopf._generated_span(alg, gens, 4)
+        # the span coideal_check made, grown as far as its legs took it;
+        # grouplikes alone ask nothing, so then a fresh span
+        sp = spans[0] if spans else hopf._GeneratedSpan(alg, gens, 4)
         L, oracle, elements = _shift_oracle(alg, gens, 4)
         # the coproduct legs of every spanning product, and its K-shifts on
         # either side, which test the scalar
@@ -403,7 +407,7 @@ def test_lattice_rows_are_in_their_span(label):
     alg = ALG if label == "A2" else UAlgebra(rs)
     n_rows = 0
     for gens in _span_cases(alg):
-        sp = hopf._generated_span(alg, gens, 4)
+        sp = hopf._GeneratedSpan(alg, gens, 4)
         for row in sp.lat_rows:
             assert sp.in_span({(row, ()): ONE}), (gens, row)
             n_rows += 1
@@ -459,33 +463,76 @@ def test_on_demand_span_answers_as_the_span_grown_to_h(label):
     assert n_queries > 500 and n_false > 0 and n_early > 0
 
 
-def test_b2_w0_strata_pass_below_the_height_bound():
+def _spy_on_spans(monkeypatch):
+    """The list of spans each in_span call is asked on, in call order."""
+    spans = []
+    real = hopf._GeneratedSpan.in_span
+
+    def spy(self, v):
+        spans.append(self)
+        return real(self, v)
+
+    monkeypatch.setattr(hopf._GeneratedSpan, "in_span", spy)
+    return spans
+
+
+def test_b2_w0_strata_pass_below_the_height_bound(monkeypatch):
     rs = build_root_system("B2")
     alg = UAlgebra(rs)
     w0 = max(weyl_group(rs), key=lambda g: g.length)
     word = ReducedWord(rs, canonical_word(w0))
+    spans = _spy_on_spans(monkeypatch)
     n_strata = 0
     for st in enumerate_strata(word):
         ch = character(st, {b: ONE for b in st.theta.roots})
         gens = twist_generators(alg, ch, max_admissible_lattice(ch))
+        spans.clear()
         assert coideal_check(alg, gens, 4), st.theta.indices
-        sp = hopf._generated_span(alg, gens, 4)
-        assert sp.level < 4, st.theta.indices
+        # one span per call, built by the check itself
+        assert len({id(sp) for sp in spans}) == 1, st.theta.indices
+        assert spans[0].level < 4, st.theta.indices
         n_strata += 1
     assert n_strata > 1
 
 
-def test_a_query_outside_the_span_grows_it_to_h():
+def test_a_query_outside_the_span_grows_it_to_h(monkeypatch):
     sp = hopf._GeneratedSpan(ALG, [ALG.E(1)], 4)
-    assert sp.level == 0
+    # construction builds no level; the first query outside builds level 0 up
+    assert sp.level == -1
     # E_1^2 lies in S_2 and is found there
     assert sp.in_span({(ZERO2, (1, 1)): ONE})
     assert sp.level == 2
     assert not sp.in_span({(ZERO2, (2,)): ONE})
     assert sp.level == 4
     # the failing coideal query is decided on S_4 too
+    spans = _spy_on_spans(monkeypatch)
     assert not coideal_check(ALG, [ALG.E(1)], 4)
-    assert hopf._generated_span(ALG, [ALG.E(1)], 4).level == 4
+    assert spans and spans[-1] is not sp and spans[-1].level == 4
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_span_is_q_graded_alone_builds_no_level(monkeypatch, label):
+    # each twist generator lies in one K-degree, so span_is_Q_graded asks
+    # its span nothing, and a span that is never asked builds nothing
+    from qborel import cli
+
+    rs = build_root_system(label)
+    alg = UAlgebra(rs)
+    added = []
+    real = hopf._GeneratedSpan._add_level
+    monkeypatch.setattr(hopf._GeneratedSpan, "_add_level", lambda self: added.append(self) or real(self))
+    n_strata = 0
+    for word in cli._suite_words(rs):
+        if any(sum(b) > 4 for b in word.roots):
+            continue
+        for st in enumerate_strata(word):
+            ch = character(st, {b: ONE for b in st.theta.roots})
+            gens = twist_generators(alg, ch, max_admissible_lattice(ch))
+            assert span_is_Q_graded(alg, gens, 4), (word.letters, st.theta.indices)
+            n_strata += 1
+    assert added == []
+    # the strata suite_hopf checks
+    assert n_strata == {"A2": 14, "B2": 22}[label], n_strata
 
 
 def test_a_span_above_the_height_bound_fails_fast():
